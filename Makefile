@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race race-intra check chaos golden bench bench-baseline bench-compare bench-smoke serve-smoke ckpt-conformance crash-e2e profile fuzz fmt vet
+.PHONY: all build test test-short race race-intra check chaos golden sweep-check bench bench-baseline bench-compare bench-smoke serve-smoke ckpt-conformance crash-e2e profile fuzz fmt vet
 
 all: build test
 
@@ -47,6 +47,14 @@ chaos:
 # diff like source: it should only change with intentional model edits.
 golden:
 	$(GO) generate .
+
+# Regenerate the paper tables exactly as `go generate` does and compare
+# them with the committed results_sweep.txt (~2 min on 2 CPUs). CI's
+# sweep-regression job runs this.
+sweep-check:
+	$(GO) run ./cmd/ptbsweep -exp all -scale 0.25 -q -o sweep-check.txt
+	cmp results_sweep.txt sweep-check.txt
+	rm -f sweep-check.txt
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .

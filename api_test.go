@@ -360,16 +360,3 @@ func TestNormalizationHelpers(t *testing.T) {
 		t.Errorf("NormalizedAoPBPct(zero base) = %v", got)
 	}
 }
-
-// TestDeprecatedShims keeps the pre-context entry points compiling and
-// working for existing callers.
-func TestDeprecatedShims(t *testing.T) {
-	r, err := ptbsim.Run(ptbsim.Config{Benchmark: "fft", Cores: 2, WorkloadScale: 0.05})
-	if err != nil || r.Cycles == 0 {
-		t.Fatalf("Run = %+v, %v", r, err)
-	}
-	tr, err := ptbsim.RunTrace(ptbsim.Config{Benchmark: "fft", Cores: 2, WorkloadScale: 0.05}, 100, -1)
-	if err != nil || len(tr.ChipTrace) == 0 {
-		t.Fatalf("RunTrace = %+v, %v", tr, err)
-	}
-}

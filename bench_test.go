@@ -5,12 +5,14 @@
 //
 //	go test -bench=. -benchmem
 //
-// doubles as a compact reproduction record. The full-size tables come from
-// cmd/ptbsweep (see EXPERIMENTS.md for paper-vs-measured values).
+// doubles as a compact reproduction record. The table and figure
+// benchmarks built on internal/figures live in figures_bench_test.go; the
+// full-size tables come from cmd/ptbsweep (see EXPERIMENTS.md for
+// paper-vs-measured values).
 package ptbsim
 
 import (
-	"strconv"
+	"context"
 	"testing"
 
 	"ptbsim/internal/budget"
@@ -21,79 +23,8 @@ import (
 	"ptbsim/internal/sim"
 )
 
-// benchScale keeps every figure benchmark in the seconds range.
+// benchScale keeps every trace benchmark in the seconds range.
 const benchScale = 0.06
-
-// benchSubset is a representative slice of the 14 workloads: one
-// barrier-bound, one lock-bound, one synchronization-free.
-var benchSubset = []string{"ocean", "unstructured", "blackscholes"}
-
-func newBenchRunner() *sim.Runner {
-	r := sim.NewRunner(benchScale)
-	r.MaxCycles = 20_000_000
-	return r
-}
-
-func avgColumn(t *sim.Table, col int) float64 {
-	// Average row is last; parse its column.
-	row := t.Rows[len(t.Rows)-1]
-	v, err := strconv.ParseFloat(row[col], 64)
-	if err != nil {
-		return 0
-	}
-	return v
-}
-
-func BenchmarkTable1Config(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		t := r.Table1()
-		if len(t.Rows) < 15 {
-			b.Fatal("config table incomplete")
-		}
-	}
-}
-
-func BenchmarkTable2Catalog(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		t := r.Table2()
-		if len(t.Rows) != 14 {
-			b.Fatal("catalog incomplete")
-		}
-	}
-}
-
-func BenchmarkFig2NaiveSplit(b *testing.B) {
-	var aopb float64
-	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		t := r.Fig2(benchSubset, 8)
-		aopb = avgColumn(t, 4) // A.dvfs%
-	}
-	b.ReportMetric(aopb, "dvfs-AoPB%")
-}
-
-func BenchmarkFig3Breakdown(b *testing.B) {
-	var barrier16 float64
-	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		t := r.Fig3([]string{"ocean"}, []int{2, 8})
-		v, _ := strconv.ParseFloat(t.Rows[len(t.Rows)-1][4], 64)
-		barrier16 = v
-	}
-	b.ReportMetric(barrier16, "ocean-8c-barrier%")
-}
-
-func BenchmarkFig4SpinPower(b *testing.B) {
-	var spin float64
-	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		t := r.Fig4([]string{"unstructured", "ocean"}, []int{2, 8})
-		spin = avgColumn(t, 2) // 8-core column of the Avg row
-	}
-	b.ReportMetric(spin, "avg-spin-power%")
-}
 
 func BenchmarkFig5MotivationTrace(b *testing.B) {
 	var n int
@@ -149,83 +80,13 @@ func BenchmarkFig7BalancerThroughput(b *testing.B) {
 	}
 }
 
-func BenchmarkFig8LatencyTable(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		t := r.Fig8()
-		if len(t.Rows) != 4 {
-			b.Fatal("latency table incomplete")
-		}
-	}
-}
-
-func BenchmarkFig9PolicySweep(b *testing.B) {
-	var ptbAoPB float64
-	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		t := r.Fig9([]string{"ocean", "blackscholes"}, []int{2, 8})
-		v, _ := strconv.ParseFloat(t.Rows[len(t.Rows)-1][8], 64) // A.ptb% of 8-core ToAll
-		ptbAoPB = v
-	}
-	b.ReportMetric(ptbAoPB, "ptb-AoPB%")
-}
-
-func benchDetail(b *testing.B, id string, pol core.Policy) {
-	var ptbAoPB float64
-	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		t := r.FigDetail(id, benchSubset, 8, pol)
-		ptbAoPB = avgColumn(t, 8)
-	}
-	b.ReportMetric(ptbAoPB, "ptb-AoPB%")
-}
-
-func BenchmarkFig10ToAll(b *testing.B)   { benchDetail(b, "Figure 10", core.PolicyToAll) }
-func BenchmarkFig11ToOne(b *testing.B)   { benchDetail(b, "Figure 11", core.PolicyToOne) }
-func BenchmarkFig12Dynamic(b *testing.B) { benchDetail(b, "Figure 12", core.PolicyDynamic) }
-
-func BenchmarkFig13Performance(b *testing.B) {
-	var slow float64
-	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		t := r.Fig13(benchSubset, 8)
-		slow = avgColumn(t, 4) // ptb slowdown
-	}
-	b.ReportMetric(slow, "ptb-slowdown%")
-}
-
-func BenchmarkFig14Relaxed(b *testing.B) {
-	var dE float64
-	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		t := r.Fig14([]string{"ocean", "blackscholes"}, []int{8}, 0.20)
-		strict, _ := strconv.ParseFloat(t.Rows[len(t.Rows)-1][1], 64)
-		relaxed, _ := strconv.ParseFloat(t.Rows[len(t.Rows)-1][2], 64)
-		dE = relaxed - strict
-	}
-	b.ReportMetric(dE, "relax-energy-delta%")
-}
-
-func BenchmarkSec4DTDP(b *testing.B) {
-	var cores float64
-	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		t := r.Sec4D([]string{"ocean", "blackscholes"}, 8)
-		// PTB row's cores-at-TDP column.
-		v, _ := strconv.ParseFloat(t.Rows[2][3], 64)
-		cores = v
-	}
-	b.ReportMetric(cores, "ptb-cores@TDP")
-}
-
-// BenchmarkSimulatorSpeed measures raw simulation throughput: how many
-// simulated cycles one uncontrolled 4-core run covers per iteration (the
-// substrate's own figure of merit; divide by ns/op for cycles/second).
 func BenchmarkSimulatorSpeed(b *testing.B) {
 	var cycles int64
 	for i := 0; i < b.N; i++ {
-		r := sim.NewRunner(benchScale)
-		out := r.Base("fft", 4)
+		out, err := RunContext(context.Background(), Config{Benchmark: "fft", Cores: 4, WorkloadScale: benchScale})
+		if err != nil {
+			b.Fatal(err)
+		}
 		cycles = out.Cycles
 	}
 	b.ReportMetric(float64(cycles), "sim-cycles")

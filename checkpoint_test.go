@@ -373,7 +373,7 @@ func TestExperimentWithCheckpoint(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	e := ptbsim.NewExperiment(ptbsim.WithScale(0.05), ptbsim.WithCheckpoint(2000, dir))
+	e := ptbsim.NewExperiment(ptbsim.WithScale(0.05), ptbsim.WithCheckpoint(&ptbsim.Checkpoint{Every: 2000, Dir: dir}))
 	got, err := e.Run(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)

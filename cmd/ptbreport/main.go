@@ -19,17 +19,12 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"ptbsim"
-	"ptbsim/internal/core"
-	"ptbsim/internal/fault"
-	"ptbsim/internal/obs"
+	"ptbsim/internal/figures"
 	"ptbsim/internal/prof"
-	"ptbsim/internal/sim"
 )
 
 func main() {
@@ -44,7 +39,7 @@ func main() {
 		check   = flag.Bool("check", false, "enable runtime invariant checks on every run (fails on any violation)")
 		render  = flag.String("render-telemetry", "", "render a telemetry JSONL file (from any tool's -telemetry flag) as per-epoch markdown tables and exit")
 	)
-	var faults fault.Flag
+	var faults ptbsim.FaultSpecFlag
 	flag.Var(&faults, "faults", "fault-injection spec applied to every run, e.g. seed=42,drop=0.25")
 	var telemetry ptbsim.TelemetryFlag
 	flag.Var(&telemetry, "telemetry", "stream epoch telemetry from every run into one merged feed, e.g. every=2048,out=report.jsonl")
@@ -59,7 +54,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	defer exitOnInterrupt()
 
 	var w io.Writer = os.Stdout
 	if *out != "" {
@@ -79,85 +73,64 @@ func main() {
 		return
 	}
 
-	bs := sim.AllBenchmarks()
-	if *benches != "" {
-		bs = strings.Split(*benches, ",")
-	}
-	ccs := sim.CoreCounts()
-	if *cores != "" {
-		ccs = nil
-		for _, s := range strings.Split(*cores, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bad -cores:", err)
-				os.Exit(2)
-			}
-			ccs = append(ccs, n)
-		}
+	p, err := figures.NewParams(*benches, *cores, *big, *relax)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
-	r := sim.NewRunner(*scale)
-	r.Bind(ctx)
-	r.SetParallelism(*par)
-	r.CheckInvariants = *check
-	r.Faults = faults.Spec
+	opts := []ptbsim.Option{
+		ptbsim.WithScale(*scale),
+		ptbsim.WithMaxCycles(figures.MaxCycles),
+		ptbsim.WithParallelism(*par),
+		ptbsim.WithProgress(figures.Progress(os.Stderr)),
+	}
+	if *check {
+		opts = append(opts, ptbsim.WithInvariants())
+	}
+	if faults.Spec != nil {
+		opts = append(opts, ptbsim.WithFaults(*faults.Spec))
+	}
 	if telemetry.Spec != nil {
 		tel, closeTel, err := telemetry.Spec.Start()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		r.Observe = &obs.Config{Every: tel.Every, Ring: tel.Ring, Sink: obs.Synchronized(tel.Observer)}
+		opts = append(opts, ptbsim.WithObserver(tel.Every, tel.Observer), ptbsim.WithObserverRing(tel.Ring))
 		defer func() {
 			if err := closeTel(); err != nil {
 				fmt.Fprintln(os.Stderr, "ptbreport: telemetry:", err)
 			}
 		}()
 	}
-	r.Progress = os.Stderr
+	e := ptbsim.NewExperiment(opts...)
+	defer e.Close()
 
 	start := time.Now()
-	warm := ccs
-	found := false
-	for _, c := range warm {
-		if c == *big {
-			found = true
-		}
-	}
-	if !found {
-		warm = append(append([]int(nil), warm...), *big)
-	}
-	if err := r.WarmContext(ctx, bs, warm, *relax); err != nil {
+	if _, err := e.RunAll(ctx, p.Configs()); err != nil {
 		fail(err)
+	}
+	var tables []*figures.Table
+	for _, id := range figures.IDs {
+		t, err := figures.Build(ctx, e, id, p)
+		if err != nil {
+			fail(err)
+		}
+		tables = append(tables, t)
 	}
 
 	fmt.Fprintln(w, "# PTB reproduction report")
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "Generated by `ptbreport` in %s — workload scale %.2f, benchmarks %d, core counts %v, detailed figures at %d cores.\n\n",
-		time.Since(start).Round(time.Second), *scale, len(bs), ccs, *big)
+		time.Since(start).Round(time.Second), *scale, len(p.Benches), p.CoreCounts, *big)
 	fmt.Fprintln(w, "Paper: Cebrián, Aragón, Kaxiras — *Power Token Balancing: Adapting")
 	fmt.Fprintln(w, "CMPs to Power Constraints for Parallel Multithreaded Workloads*,")
 	fmt.Fprintln(w, "IPDPS 2011. See EXPERIMENTS.md for the paper-vs-measured discussion.")
 	fmt.Fprintln(w)
-
-	r.Table1().RenderMarkdown(w)
-	r.Table2().RenderMarkdown(w)
-	r.Fig2(bs, *big).RenderMarkdown(w)
-	r.Fig3(bs, ccs).RenderMarkdown(w)
-	r.Fig4(bs, ccs).RenderMarkdown(w)
-	r.Fig8().RenderMarkdown(w)
-	r.Fig9(bs, ccs).RenderMarkdown(w)
-	r.FigDetail("Figure 10", bs, *big, core.PolicyToAll).RenderMarkdown(w)
-	r.FigDetail("Figure 11", bs, *big, core.PolicyToOne).RenderMarkdown(w)
-	r.FigDetail("Figure 12", bs, *big, core.PolicyDynamic).RenderMarkdown(w)
-	r.Fig13(bs, *big).RenderMarkdown(w)
-	r.Fig14(bs, ccs, *relax).RenderMarkdown(w)
-	r.Sec4D(bs, *big).RenderMarkdown(w)
-	lockBound := []string{"raytrace", "unstructured", "waternsq", "fluidanimate"}
-	if *benches != "" {
-		lockBound = bs
+	for _, t := range tables {
+		t.RenderMarkdown(w)
 	}
-	r.FigExt(lockBound, *big).RenderMarkdown(w)
 }
 
 func fail(err error) {
@@ -245,18 +218,4 @@ func renderTelemetry(w io.Writer, path string) error {
 	}
 	fmt.Fprintln(w, "`*` marks a partial tail epoch; per-core columns are the epoch's mean power in pJ/cycle, token columns cumulative since run start.")
 	return nil
-}
-
-// exitOnInterrupt converts the cancellation panic of the legacy Runner
-// path into the same clean exit as fail.
-func exitOnInterrupt() {
-	p := recover()
-	if p == nil {
-		return
-	}
-	if err, ok := p.(error); ok && errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "ptbreport: interrupted")
-		os.Exit(130)
-	}
-	panic(p)
 }

@@ -64,7 +64,8 @@ func main() {
 	}
 	if checkpoint.Spec != nil {
 		ck := checkpoint.Spec.Checkpoint()
-		opts = append(opts, ptbsim.WithCheckpoint(ck.Every, ck.Dir))
+		ck.StopAfter = 0 // the stop=K crash drill is for sweeps; a server never aborts its own runs
+		opts = append(opts, ptbsim.WithCheckpoint(ck))
 	}
 	var st *store.Store
 	if *storeDir != "" {

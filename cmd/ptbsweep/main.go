@@ -12,9 +12,14 @@
 //	ptbsweep -exp all -par 16          # same output, 16 parallel simulations
 //	ptbsweep -exp fig9 -cores 2,4,8    # restrict the core sweep
 //	ptbsweep -exp fig10 -benches ocean,radix,fft
+//	ptbsweep -exp all -resume sweep-ckpt   # restartable: finished cells persist
 //
 // Workload scale trades fidelity for time: the paper shapes are stable
 // from about scale 0.25; scale 1.0 runs the full Table-2-calibrated sizes.
+//
+// Exit status: 0 on success, 1 on a failed run, 2 on a usage error, 3
+// when the -checkpoint crash drill (stop=K) aborted the sweep, and 130
+// when interrupted.
 package main
 
 import (
@@ -26,81 +31,169 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"strings"
 	"syscall"
 
 	"ptbsim"
-	"ptbsim/internal/core"
-	"ptbsim/internal/fault"
-	"ptbsim/internal/obs"
+	"ptbsim/internal/figures"
 	"ptbsim/internal/prof"
-	"ptbsim/internal/sim"
+	"ptbsim/internal/store"
 )
 
-func contains(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
+func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
 }
 
-func main() {
+// run executes one ptbsweep invocation and returns its exit status.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ptbsweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp     = flag.String("exp", "all", "experiment: table1,table2,fig2,fig3,fig4,fig8,fig9,fig10,fig11,fig12,fig13,fig14,sec4d,ext,all")
-		scale   = flag.Float64("scale", 0.25, "workload scale (1.0 = Table 2 size)")
-		cores   = flag.String("cores", "", "comma-separated core counts (default 2,4,8,16)")
-		benches = flag.String("benches", "", "comma-separated benchmarks (default all 14)")
-		relax   = flag.Float64("relax", 0.20, "fig14 relaxed threshold")
-		big     = flag.Int("bigcores", 16, "core count for the detailed figures (2/10/11/12/13)")
-		quiet   = flag.Bool("q", false, "suppress per-run progress")
-		par     = flag.Int("par", runtime.NumCPU(), "parallel simulations (1 = serial; output is identical at any value)")
-		format  = flag.String("format", "text", "output format: text, md, csv")
-		check   = flag.Bool("check", false, "enable runtime invariant checks on every run (fails on any violation)")
-		outPath = flag.String("o", "", "write output to this file instead of stdout (for go:generate)")
-		parIn   = flag.Int("par-intra", 0, "shard each simulated chip across up to this many goroutine-stepped tiles (0 = serial; each chip uses the largest divisor of its core count that fits; output is identical at any value)")
+		exp     = fs.String("exp", "all", "experiment: "+strings.Join(figures.IDs, ",")+",all")
+		scale   = fs.Float64("scale", 0.25, "workload scale (1.0 = Table 2 size)")
+		cores   = fs.String("cores", "", "comma-separated core counts (default 2,4,8,16)")
+		benches = fs.String("benches", "", "comma-separated benchmarks (default all 14)")
+		relax   = fs.Float64("relax", 0.20, "fig14 relaxed threshold")
+		big     = fs.Int("bigcores", 16, "core count for the detailed figures (2/10/11/12/13)")
+		quiet   = fs.Bool("q", false, "suppress per-run progress")
+		par     = fs.Int("par", runtime.NumCPU(), "parallel simulations (1 = serial; output is identical at any value)")
+		format  = fs.String("format", "text", "output format: text, md, csv")
+		check   = fs.Bool("check", false, "enable runtime invariant checks on every run (fails on any violation)")
+		outPath = fs.String("o", "", "write output to this file instead of stdout (for go:generate)")
+		parIn   = fs.Int("par-intra", 0, "shard each simulated chip across up to this many goroutine-stepped tiles (0 = serial; each chip uses the largest divisor of its core count that fits; output is identical at any value)")
 	)
-	var faults fault.Flag
-	flag.Var(&faults, "faults", "fault-injection spec applied to every run, e.g. seed=42,drop=0.25")
+	var faults ptbsim.FaultSpecFlag
+	fs.Var(&faults, "faults", "fault-injection spec applied to every run, e.g. seed=42,drop=0.25")
 	var telemetry ptbsim.TelemetryFlag
-	flag.Var(&telemetry, "telemetry", "stream epoch telemetry from every run into one merged feed, e.g. every=2048,out=sweep.jsonl")
+	fs.Var(&telemetry, "telemetry", "stream epoch telemetry from every run into one merged feed, e.g. every=2048,out=sweep.jsonl")
 	var checkpoint ptbsim.CheckpointFlag
-	flag.Var(&checkpoint, "checkpoint", "make the sweep resumable through this directory, e.g. every=500000,dir=sweep-ckpt: finished cells persist and are skipped on restart, partial cells snapshot and resume (keys: every, dir, stop)")
-	resume := flag.String("resume", "", "resume the sweep saved in this directory (shorthand for -checkpoint dir=DIR at the default cadence)")
-	profFlags := prof.Register(nil)
-	flag.Parse()
+	fs.Var(&checkpoint, "checkpoint", "make the sweep resumable through this directory, e.g. every=500000,dir=sweep-ckpt: finished cells persist and are skipped on restart, partial cells snapshot and resume (keys: every, dir, stop)")
+	resume := fs.String("resume", "", "resume the sweep saved in this directory (shorthand for -checkpoint dir=DIR at the default cadence)")
+	profFlags := prof.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	stopProf, err := profFlags.Start()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	defer stopProf()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	// The figure builders run cached results through the context-free
-	// Runner API; a cancelled bound context surfaces as a panic that the
-	// handler below turns into a clean exit.
-	defer exitOnInterrupt()
-
-	var out io.Writer = os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+	fail := func(err error) int {
+		switch {
+		case errors.Is(err, context.Canceled):
+			fmt.Fprintln(stderr, "ptbsweep: interrupted")
+			return 130
+		case errors.Is(err, ptbsim.ErrRunStopped):
+			fmt.Fprintln(stderr, "ptbsweep: crash drill stop:", err)
+			fmt.Fprintln(stderr, "ptbsweep: rerun with the same -checkpoint dir to resume")
+			return 3
 		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fail(err)
-			}
-		}()
-		out = f
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
-	render := func(t *sim.Table) {
+	p, err := figures.NewParams(*benches, *cores, *big, *relax)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+
+	opts := []ptbsim.Option{
+		ptbsim.WithScale(*scale),
+		ptbsim.WithMaxCycles(figures.MaxCycles),
+		ptbsim.WithParallelism(*par),
+		ptbsim.WithIntraParallel(*parIn),
+	}
+	if *check {
+		opts = append(opts, ptbsim.WithInvariants())
+	}
+	if faults.Spec != nil {
+		opts = append(opts, ptbsim.WithFaults(*faults.Spec))
+	}
+	if *resume != "" && checkpoint.Spec == nil {
+		checkpoint.Spec = &ptbsim.CheckpointSpec{Dir: *resume}
+	}
+	if checkpoint.Spec != nil {
+		// One directory makes the whole sweep restartable: completed cells
+		// persist in the result store and are skipped, partial cells leave
+		// a snapshot and resume mid-run byte-identically.
+		ck := checkpoint.Spec.Checkpoint()
+		st, err := store.Open(ck.Dir)
+		if err != nil {
+			return fail(err)
+		}
+		if n := len(st.Rejected()); n > 0 {
+			fmt.Fprintf(stderr, "ptbsweep: %d unreadable cell files quarantined (recomputing those cells)\n", n)
+		}
+		if n := st.Len(); n > 0 && !*quiet {
+			fmt.Fprintf(stderr, "ptbsweep: resuming: %d completed cells loaded from %s\n", n, ck.Dir)
+		}
+		opts = append(opts, ptbsim.WithCache(st), ptbsim.WithCheckpoint(ck))
+		defer func() {
+			if err := st.Err(); err != nil {
+				fmt.Fprintln(stderr, "ptbsweep:", err)
+			}
+		}()
+	}
+	if telemetry.Spec != nil {
+		tel, closeTel, err := telemetry.Spec.Start()
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
+		}
+		// The experiment serializes the shared sink into one merged feed;
+		// the per-sample run tags keep it unambiguous.
+		opts = append(opts, ptbsim.WithObserver(tel.Every, tel.Observer), ptbsim.WithObserverRing(tel.Ring))
+		defer func() {
+			if err := closeTel(); err != nil {
+				fmt.Fprintln(stderr, "ptbsweep: telemetry:", err)
+			}
+		}()
+	}
+	if !*quiet {
+		opts = append(opts, ptbsim.WithProgress(figures.Progress(stderr)))
+	}
+	e := ptbsim.NewExperiment(opts...)
+	defer e.Close()
+
+	ids := strings.Split(*exp, ",")
+	if *exp == "all" {
+		// Precompute every needed run on the worker pool; the figure
+		// builders then assemble tables from the cache.
+		if _, err := e.RunAll(ctx, p.Configs()); err != nil {
+			return fail(err)
+		}
+		ids = figures.IDs
+	}
+
+	out := stdout
+	var f *os.File
+	if *outPath != "" {
+		if f, err = os.Create(*outPath); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
+		}
+		defer f.Close()
+		out = f
+	}
+	for _, id := range ids {
+		id = strings.TrimSpace(id)
+		t, err := figures.Build(ctx, e, id, p)
+		if errors.Is(err, figures.ErrUnknownID) {
+			fmt.Fprintf(stderr, "unknown experiment %q\n", id)
+			return 2
+		}
+		if err != nil {
+			return fail(err)
+		}
 		switch *format {
 		case "md":
 			t.RenderMarkdown(out)
@@ -110,161 +203,10 @@ func main() {
 			t.Render(out)
 		}
 	}
-
-	r := sim.NewRunner(*scale)
-	r.Bind(ctx)
-	r.SetParallelism(*par)
-	r.CheckInvariants = *check
-	r.Faults = faults.Spec
-	r.IntraParallel = *parIn
-	if *resume != "" && checkpoint.Spec == nil {
-		checkpoint.Spec = &ptbsim.CheckpointSpec{Dir: *resume}
-	}
-	if checkpoint.Spec != nil {
-		// One directory makes the whole sweep restartable: completed cells
-		// persist in the cell store and are skipped, partial cells leave a
-		// snapshot and resume mid-run byte-identically.
-		ck := checkpoint.Spec.Checkpoint()
-		st, err := r.SetStore(ck.Dir)
-		if err != nil {
-			fail(err)
-		}
-		if n := st.Rejected(); n > 0 {
-			fmt.Fprintf(os.Stderr, "ptbsweep: %d unreadable cell files skipped (recomputing those cells)\n", n)
-		}
-		if n := st.Len(); n > 0 && !*quiet {
-			fmt.Fprintf(os.Stderr, "ptbsweep: resuming: %d completed cells loaded from %s\n", n, ck.Dir)
-		}
-		r.CheckpointEvery = ck.Every
-		r.CheckpointDir = ck.Dir
-		r.CheckpointStop = ck.StopAfter
-		defer func() {
-			if err := st.Err(); err != nil {
-				fmt.Fprintln(os.Stderr, "ptbsweep:", err)
-			}
-		}()
-	}
-	if telemetry.Spec != nil {
-		tel, closeTel, err := telemetry.Spec.Start()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		// Runs execute in parallel, so the shared sink is serialized into
-		// one merged feed; the per-sample run tags keep it unambiguous.
-		r.Observe = &obs.Config{Every: tel.Every, Ring: tel.Ring, Sink: obs.Synchronized(tel.Observer)}
-		defer func() {
-			if err := closeTel(); err != nil {
-				fmt.Fprintln(os.Stderr, "ptbsweep: telemetry:", err)
-			}
-		}()
-	}
-	if !*quiet {
-		r.Progress = os.Stderr
-	}
-
-	bs := sim.AllBenchmarks()
-	if *benches != "" {
-		bs = strings.Split(*benches, ",")
-	}
-	ccs := sim.CoreCounts()
-	if *cores != "" {
-		ccs = nil
-		for _, s := range strings.Split(*cores, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bad -cores:", err)
-				os.Exit(2)
-			}
-			ccs = append(ccs, n)
+	if f != nil {
+		if err := f.Close(); err != nil {
+			return fail(err)
 		}
 	}
-
-	run := func(id string) {
-		switch id {
-		case "table1":
-			render(r.Table1())
-		case "table2":
-			render(r.Table2())
-		case "fig2":
-			render(r.Fig2(bs, *big))
-		case "fig3":
-			render(r.Fig3(bs, ccs))
-		case "fig4":
-			render(r.Fig4(bs, ccs))
-		case "fig8":
-			render(r.Fig8())
-		case "fig9":
-			render(r.Fig9(bs, ccs))
-		case "fig10":
-			render(r.FigDetail("Figure 10", bs, *big, core.PolicyToAll))
-		case "fig11":
-			render(r.FigDetail("Figure 11", bs, *big, core.PolicyToOne))
-		case "fig12":
-			render(r.FigDetail("Figure 12", bs, *big, core.PolicyDynamic))
-		case "fig13":
-			render(r.Fig13(bs, *big))
-		case "fig14":
-			render(r.Fig14(bs, ccs, *relax))
-		case "sec4d":
-			render(r.Sec4D(bs, *big))
-		case "ext":
-			lockBound := []string{"raytrace", "unstructured", "waternsq", "fluidanimate"}
-			if *benches != "" {
-				lockBound = bs
-			}
-			render(r.FigExt(lockBound, *big))
-		default:
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", id)
-			os.Exit(2)
-		}
-	}
-
-	if *exp == "all" {
-		// Precompute every needed run on the worker pool; the figure
-		// builders then assemble tables from the cache.
-		ccWarm := ccs
-		if !contains(ccWarm, *big) {
-			ccWarm = append(append([]int(nil), ccWarm...), *big)
-		}
-		if err := r.WarmContext(ctx, bs, ccWarm, *relax); err != nil {
-			fail(err)
-		}
-		for _, id := range []string{"table1", "table2", "fig2", "fig3", "fig4",
-			"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "sec4d", "ext"} {
-			run(id)
-		}
-		return
-	}
-	for _, id := range strings.Split(*exp, ",") {
-		run(strings.TrimSpace(id))
-	}
-}
-
-func fail(err error) {
-	if errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "ptbsweep: interrupted")
-		os.Exit(130)
-	}
-	if errors.Is(err, ptbsim.ErrRunStopped) {
-		fmt.Fprintln(os.Stderr, "ptbsweep: crash drill stop:", err)
-		fmt.Fprintln(os.Stderr, "ptbsweep: rerun with the same -checkpoint dir to resume")
-		os.Exit(3)
-	}
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
-}
-
-// exitOnInterrupt converts the cancellation (and crash-drill) panics of
-// the legacy Runner path into the same clean exits as fail.
-func exitOnInterrupt() {
-	p := recover()
-	if p == nil {
-		return
-	}
-	if err, ok := p.(error); ok &&
-		(errors.Is(err, context.Canceled) || errors.Is(err, ptbsim.ErrRunStopped)) {
-		fail(err)
-	}
-	panic(p)
+	return 0
 }

@@ -18,15 +18,25 @@ import (
 
 func main() {
 	const traceEvery = 25
-	tr, err := ptbsim.RunTraceContext(context.Background(), ptbsim.Config{
+	var mem ptbsim.MemoryObserver
+	res, err := ptbsim.RunContext(context.Background(), ptbsim.Config{
 		Benchmark:     "fluidanimate", // heavy fine-grained locking
 		Cores:         4,
 		WorkloadScale: 0.12,
-	}, traceEvery, 2)
+		Observe:       &ptbsim.Telemetry{Every: traceEvery, Ring: 1, Observer: &mem},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	localBudget := tr.GlobalBudgetPJ / float64(tr.Cores)
+	// Core 2's power every traceEvery cycles; the partial tail epoch at the
+	// end of the run is not a full sample period, so it is left out.
+	var coreTrace []float64
+	for _, s := range mem.Samples() {
+		if !s.Partial {
+			coreTrace = append(coreTrace, s.CorePJ[2])
+		}
+	}
+	localBudget := res.BudgetPJ / float64(res.Cores)
 
 	fmt.Println("Figure 6 — power signature of a core through lock contention")
 	fmt.Printf("core 2 of a 4-core CMP running fluidanimate; local budget %.0f pJ/cycle\n\n", localBudget)
@@ -40,12 +50,12 @@ func main() {
 		stableFrac = 0.30
 		minSamples = 6
 	)
-	mean, dev := tr.CoreTrace[0], 0.0
+	mean, dev := coreTrace[0], 0.0
 	run := 0
 	spinSamples, spinEntries := 0, 0
 	spinning := false
-	flags := make([]bool, len(tr.CoreTrace))
-	for i, v := range tr.CoreTrace {
+	flags := make([]bool, len(coreTrace))
+	for i, v := range coreTrace {
 		mean += alpha * (v - mean)
 		ad := v - mean
 		if ad < 0 {
@@ -68,12 +78,12 @@ func main() {
 		}
 	}
 
-	renderTrace(tr.CoreTrace, flags, localBudget)
+	renderTrace(coreTrace, flags, localBudget)
 
 	fmt.Printf("\ndetected %d spinning episodes covering %.1f%% of samples\n",
-		spinEntries, 100*float64(spinSamples)/float64(len(tr.CoreTrace)))
+		spinEntries, 100*float64(spinSamples)/float64(len(coreTrace)))
 	fmt.Printf("ground truth from the simulator: %.1f%% of time in lock-acquire\n",
-		tr.LockAcqFrac*100)
+		res.LockAcqFrac*100)
 	fmt.Println("\nPTB exploits this for free: a spinning core's spare tokens flow to")
 	fmt.Println("the lock holder, which leaves its critical section sooner.")
 }

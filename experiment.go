@@ -149,13 +149,14 @@ func WithIntraParallel(n int) Option {
 
 // WithCheckpoint arms crash-recovery snapshots on every run the
 // experiment executes whose config leaves Checkpoint nil: each run
-// periodically saves a snapshot under dir and resumes from it after a
-// crash, byte-identically (see Checkpoint). Snapshot files are keyed by
-// the config's stable wire JSON, and a run's snapshot is deleted when
-// the run completes. Like telemetry, checkpointing never enters the
-// cache key — it cannot change a result.
-func WithCheckpoint(every int64, dir string) Option {
-	return func(e *Experiment) { e.checkpoint = &Checkpoint{Every: every, Dir: dir} }
+// periodically saves a snapshot under ck.Dir and resumes from it after a
+// crash, byte-identically (see Checkpoint; ck.StopAfter arms the crash
+// drill on every run). Snapshot files are keyed by the config's stable
+// wire JSON, and a run's snapshot is deleted when the run completes. Like
+// telemetry, checkpointing never enters the cache key — it cannot change
+// a result.
+func WithCheckpoint(ck *Checkpoint) Option {
+	return func(e *Experiment) { e.checkpoint = ck }
 }
 
 // WithObserver streams epoch telemetry from every run the experiment

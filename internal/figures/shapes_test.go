@@ -1,10 +1,10 @@
-package sim
+package figures
 
 import (
+	"context"
 	"testing"
 
-	"ptbsim/internal/core"
-	"ptbsim/internal/metrics"
+	"ptbsim"
 )
 
 // TestPaperShapesRegression locks in the qualitative results the
@@ -16,23 +16,29 @@ func TestPaperShapesRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape regression skipped in -short mode")
 	}
-	r := NewRunner(0.15)
-	r.MaxCycles = 20_000_000
+	e := ptbsim.NewExperiment(ptbsim.WithScale(0.15), ptbsim.WithMaxCycles(20_000_000))
 	benches := []string{"ocean", "unstructured", "blackscholes"}
 	const cores = 8
+	relaxed := ptb(ptbsim.ToAll)
+	relaxed.relax = 0.20
+	r, err := fetch(context.Background(), e, benches, []int{2, cores},
+		dfs, dvfs, twoLevel, ptb(ptbsim.ToAll), ptb(ptbsim.Dynamic), relaxed)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	avg := func(tech Technique, pol core.Policy, metric func(*metrics.RunResult, *metrics.RunResult) float64) float64 {
+	avgAoPB := func(ts techSpec, n int) float64 {
 		s := 0.0
 		for _, b := range benches {
-			s += metric(r.Run(b, cores, tech, pol, 0), r.Base(b, cores))
+			s += ptbsim.NormalizedAoPBPct(r.get(b, n, ts), r.base(b, n))
 		}
 		return s / float64(len(benches))
 	}
 
-	aDFS := avg(TechDFS, 0, metrics.NormalizedAoPBPct)
-	aDVFS := avg(TechDVFS, 0, metrics.NormalizedAoPBPct)
-	a2lvl := avg(Tech2Level, 0, metrics.NormalizedAoPBPct)
-	aPTB := avg(TechPTB, core.PolicyToAll, metrics.NormalizedAoPBPct)
+	aDFS := avgAoPB(dfs, cores)
+	aDVFS := avgAoPB(dvfs, cores)
+	a2lvl := avgAoPB(twoLevel, cores)
+	aPTB := avgAoPB(ptb(ptbsim.ToAll), cores)
 
 	// Shape 1: coarse-grained DVFS-family techniques cannot track the
 	// budget the way fine-grained ones do (paper: DVFS/DFS ≥65%,
@@ -49,28 +55,21 @@ func TestPaperShapesRegression(t *testing.T) {
 	}
 
 	// Shape 2: accuracy improves with core count (paper Fig. 9).
-	a2c := 0.0
-	for _, b := range benches {
-		a2c += metrics.NormalizedAoPBPct(r.Run(b, 2, TechPTB, core.PolicyToAll, 0), r.Base(b, 2))
-	}
-	a2c /= float64(len(benches))
-	if aPTB >= a2c {
+	if a2c := avgAoPB(ptb(ptbsim.ToAll), 2); aPTB >= a2c {
 		t.Errorf("PTB AoPB did not improve from 2 cores (%.1f%%) to %d cores (%.1f%%)", a2c, cores, aPTB)
 	}
 
 	// Shape 3: PTB recovers throttling performance on the lock-bound app
 	// (paper Fig. 13's unstructured story).
-	sPTB := metrics.SlowdownPct(r.Run("unstructured", cores, TechPTB, core.PolicyDynamic, 0), r.Base("unstructured", cores))
-	s2lvl := metrics.SlowdownPct(r.Run("unstructured", cores, Tech2Level, 0, 0), r.Base("unstructured", cores))
+	base := r.base("unstructured", cores)
+	sPTB := ptbsim.SlowdownPct(r.get("unstructured", cores, ptb(ptbsim.Dynamic)), base)
+	s2lvl := ptbsim.SlowdownPct(r.get("unstructured", cores, twoLevel), base)
 	if sPTB >= s2lvl {
 		t.Errorf("PTB slowdown %.1f%% not below plain 2level %.1f%% on unstructured", sPTB, s2lvl)
 	}
 
 	// Shape 4: relaxing trades accuracy away (paper §IV.C).
-	aRelax := avg(TechPTB, core.PolicyToAll, func(run, base *metrics.RunResult) float64 {
-		return metrics.NormalizedAoPBPct(r.Run(run.Benchmark, cores, TechPTB, core.PolicyToAll, 0.20), base)
-	})
-	if aRelax <= aPTB {
+	if aRelax := avgAoPB(relaxed, cores); aRelax <= aPTB {
 		t.Errorf("relaxed PTB AoPB %.1f%% not above strict %.1f%%", aRelax, aPTB)
 	}
 }

@@ -15,7 +15,6 @@ package obs
 
 import (
 	"fmt"
-	"sync"
 
 	"ptbsim/internal/isa"
 )
@@ -141,7 +140,7 @@ type FillFunc func(s *Sample)
 
 // Recorder is the per-run telemetry engine. It is not safe for concurrent
 // use (simulations are single-threaded); a Sink shared across concurrent
-// runs must serialize itself or be wrapped with Synchronized.
+// runs must serialize itself.
 type Recorder struct {
 	every int64
 	ring  []Sample
@@ -319,26 +318,4 @@ func (r *Recorder) CheckEnergy(totalPJ func(core int) float64) error {
 		}
 	}
 	return nil
-}
-
-// syncSink serializes Observe calls onto a shared inner sink.
-type syncSink struct {
-	mu    sync.Mutex
-	inner Sink
-}
-
-func (s *syncSink) Observe(sm *Sample) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.inner.Observe(sm)
-}
-
-// Synchronized wraps a sink with a mutex so concurrent runs (a parallel
-// sweep) can stream into one merged feed. Samples from different runs
-// interleave; the per-sample run tags keep the feed unambiguous.
-func Synchronized(s Sink) Sink {
-	if s == nil {
-		return nil
-	}
-	return &syncSink{inner: s}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sync"
 	"testing"
 )
 
@@ -158,33 +157,5 @@ func TestRecorderTickZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Tick allocates %.1f per epoch with a nil sink, want 0", allocs)
-	}
-}
-
-func TestSynchronized(t *testing.T) {
-	if Synchronized(nil) != nil {
-		t.Fatal("Synchronized(nil) must stay nil")
-	}
-	var mu sync.Mutex
-	count := 0
-	sink := Synchronized(sinkFunc(func(s *Sample) {
-		mu.Lock()
-		count++
-		mu.Unlock()
-	}))
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := &Sample{}
-			for i := 0; i < 100; i++ {
-				sink.Observe(s)
-			}
-		}()
-	}
-	wg.Wait()
-	if count != 800 {
-		t.Fatalf("synchronized sink saw %d observes, want 800", count)
 	}
 }

@@ -195,12 +195,6 @@ func WithQueueCap[V any](n int) Option[V] {
 	return func(s *Scheduler[V]) { s.queueCap = n }
 }
 
-// WithEventFunc installs the streaming callback at construction; see
-// SetEventFunc.
-func WithEventFunc[V any](fn func(Event[V])) Option[V] {
-	return func(s *Scheduler[V]) { s.onEvent = fn }
-}
-
 // Scheduler caches and deduplicates keyed jobs, fans sweeps out over a
 // bounded worker pool, and queues Submitted work for a persistent pool of
 // the same size. The zero value is not usable; construct with New.
@@ -248,27 +242,6 @@ func New[V any](workers int, opts ...Option[V]) *Scheduler[V] {
 
 // Workers reports the pool size.
 func (s *Scheduler[V]) Workers() int { return s.workers }
-
-// SetWorkers resizes the sweep pool (workers < 1 selects runtime.NumCPU).
-// It only affects subsequent ForEach calls, not the persistent Submit
-// pool once it has started.
-func (s *Scheduler[V]) SetWorkers(workers int) {
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
-	s.mu.Lock()
-	s.workers = workers
-	s.mu.Unlock()
-}
-
-// SetCache replaces the result-cache backend. Call it before the first
-// request — entries already living in the old backend are not migrated,
-// so swapping mid-run forfeits them (they are recomputed, never wrong).
-func (s *Scheduler[V]) SetCache(c Cache[V]) {
-	s.mu.Lock()
-	s.cache = c
-	s.mu.Unlock()
-}
 
 // SetEventFunc installs the streaming callback. Events are delivered
 // synchronously from whichever goroutine completes a request; fn must be

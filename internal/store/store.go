@@ -7,8 +7,8 @@
 // contain filesystem-hostile characters), each holding {key, result} in
 // the stable wire schema. The result wire form embeds the self-verifying
 // digest, so every load recomputes and checks it: a corrupted or
-// hand-edited file is rejected at open rather than served as a silently
-// wrong result. Writes go through a temp-file rename, so a crash never
+// hand-edited file — or one whose digest is missing — is rejected at
+// open rather than served as a silently wrong result. Writes go through a temp-file rename, so a crash never
 // leaves a half-written entry.
 //
 // The Store answers Get from an in-memory front (loaded at Open, updated
@@ -86,6 +86,18 @@ func Open(dir string) (*Store, error) {
 		}
 		if e.Key == "" || e.Result == nil {
 			s.quarantine(name, "incomplete entry: missing key or result")
+			continue
+		}
+		// The result decoder verifies a digest only when one is present,
+		// and Put always writes one: an entry without it was not written
+		// by this store (or had it stripped) and cannot be checked.
+		var probe struct {
+			Result struct {
+				Digest string `json:"digest"`
+			} `json:"result"`
+		}
+		if json.Unmarshal(data, &probe) != nil || probe.Result.Digest == "" {
+			s.quarantine(name, "missing digest")
 			continue
 		}
 		if filepath.Base(name) != fileName(e.Key) {

@@ -2,8 +2,10 @@ package store
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -103,6 +105,38 @@ func TestOpenRejectsTamperedEntry(t *testing.T) {
 	}
 	if len(s2.Rejected()) != 1 {
 		t.Fatalf("Rejected() = %v, want the tampered file", s2.Rejected())
+	}
+
+	// A hand-edited entry that also drops its digest decodes cleanly —
+	// the wire form only verifies a digest it finds — so the store must
+	// refuse it for the missing digest alone.
+	data, err = json.Marshal(entry{Key: "key-b", Result: &ptbsim.Result{Benchmark: "fft", Cores: 2, EnergyJ: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripped := regexp.MustCompile(`,"digest":"[^"]*"`).ReplaceAllString(
+		strings.Replace(string(data), `"energy_j":1,`, `"energy_j":0.5,`, 1), "")
+	if !strings.Contains(stripped, `"energy_j":0.5,`) || strings.Contains(stripped, "digest") {
+		t.Fatalf("probe edit failed: %s", stripped)
+	}
+	var probe entry
+	if err := json.Unmarshal([]byte(stripped), &probe); err != nil {
+		t.Fatalf("digest-less entry should decode (the store must catch it): %v", err)
+	}
+	path := filepath.Join(dir, fileName("key-b"))
+	if err := os.WriteFile(path, []byte(stripped), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s3.Get("key-b"); ok || s3.Len() != 0 {
+		t.Fatalf("digest-less entry served: Len() = %d", s3.Len())
+	}
+	reason, err := os.ReadFile(path + ".corrupt.reason")
+	if err != nil || !strings.Contains(string(reason), "missing digest") {
+		t.Fatalf("digest-less entry not quarantined for its digest: %q, %v", reason, err)
 	}
 }
 

@@ -39,11 +39,11 @@ const (
 // passed to Observe points into the recorder's preallocated ring and is
 // only valid for the duration of the call — retain Clone()s, not pointers.
 //
-// Observers attached to a single run (Config.Observe, RunTraceContext) are
-// called from that run's goroutine and need no locking. An observer shared
-// across concurrent runs must serialize itself — WithObserver does this for
-// you, and the bundled sinks (JSONLObserver, CSVObserver, MemoryObserver)
-// are safe either way.
+// Observers attached to a single run (Config.Observe) are called from
+// that run's goroutine and need no locking. An observer shared across
+// concurrent runs must serialize itself — WithObserver does this for you,
+// and the bundled sinks (JSONLObserver, CSVObserver, MemoryObserver) are
+// safe either way.
 type Observer interface {
 	Observe(s *Sample)
 }

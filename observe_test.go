@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"ptbsim"
-	"ptbsim/internal/sim"
 )
 
 // telemetryTestConfigs is the small cross-technique grid the telemetry
@@ -104,64 +103,6 @@ func TestTelemetryEnergyIdentity(t *testing.T) {
 		if cycles != res.Cycles {
 			t.Errorf("%s/%s: epochs cover %d cycles, run took %d",
 				cfg.Benchmark, cfg.Technique, cycles, res.Cycles)
-		}
-	}
-}
-
-// TestTraceShimEquivalence pins the RunTraceContext compatibility shim to
-// the legacy collector-based trace path it replaced: both figure traces
-// must come out bit-identical, because the observer samples the same
-// per-core energies on the same cycles. This is the deprecation-safety
-// gate for callers migrating to Config.Observe.
-func TestTraceShimEquivalence(t *testing.T) {
-	const scale = 0.05
-	t.Run("fig5-chip", func(t *testing.T) {
-		want, wantBudget := sim.Fig5Trace(scale)
-		got, err := ptbsim.RunTraceContext(context.Background(), ptbsim.Config{
-			Benchmark:     "ocean",
-			Cores:         4,
-			Technique:     ptbsim.None,
-			WorkloadScale: scale,
-			MaxCycles:     20_000_000,
-		}, 50, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareTraces(t, got.ChipTrace, want)
-		if got.GlobalBudgetPJ != wantBudget {
-			t.Errorf("budget %v, legacy path says %v", got.GlobalBudgetPJ, wantBudget)
-		}
-	})
-	t.Run("fig6-core", func(t *testing.T) {
-		want, wantBudget := sim.Fig6Trace(scale)
-		got, err := ptbsim.RunTraceContext(context.Background(), ptbsim.Config{
-			Benchmark:     "raytrace",
-			Cores:         4,
-			Technique:     ptbsim.None,
-			WorkloadScale: scale,
-			MaxCycles:     20_000_000,
-		}, 10, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareTraces(t, got.CoreTrace, want)
-		if got.GlobalBudgetPJ/4 != wantBudget {
-			t.Errorf("local budget %v, legacy path says %v", got.GlobalBudgetPJ/4, wantBudget)
-		}
-	})
-}
-
-func compareTraces(t *testing.T, got, want []float64) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("trace has %d samples, legacy path has %d", len(got), len(want))
-	}
-	if len(got) == 0 {
-		t.Fatal("empty trace")
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("trace diverges at sample %d: %v != %v", i, got[i], want[i])
 		}
 	}
 }

@@ -377,83 +377,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	return fromMetrics(res), nil
 }
 
-// Run executes one simulation to completion.
-//
-// Deprecated: use RunContext, which adds validation with typed errors and
-// cancellation. Run is equivalent to RunContext(context.Background(), cfg).
-func Run(cfg Config) (*Result, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// TraceResult extends Result with power traces for plotting.
-type TraceResult struct {
-	Result
-	// ChipTrace holds chip power samples (pJ/cycle) every TraceEvery
-	// cycles; CoreTrace the same for the traced core (empty if none).
-	ChipTrace []float64
-	CoreTrace []float64
-	// GlobalBudgetPJ is the budget line in pJ/cycle.
-	GlobalBudgetPJ float64
-}
-
-// traceCapture adapts the Observer stream back into the flat ChipTrace/
-// CoreTrace slices TraceResult promises. Full epochs sample on exactly the
-// cycles the legacy collector trace did (cycle % every == 0), and ChipPJ
-// sums per-core energy in the collector's order, so the rebuilt traces are
-// bit-identical to the deprecated engine-side ones; the partial tail flush
-// is skipped because the old traces never had one.
-type traceCapture struct {
-	core      int
-	chip      []float64
-	coreTrace []float64
-}
-
-func (t *traceCapture) Observe(s *Sample) {
-	if s.Partial {
-		return
-	}
-	t.chip = append(t.chip, s.ChipPJ)
-	if t.core >= 0 && t.core < len(s.CorePJ) {
-		t.coreTrace = append(t.coreTrace, s.CorePJ[t.core])
-	}
-}
-
-// RunTraceContext executes a simulation while recording power traces,
-// honoring ctx like RunContext. traceCore may be -1 to record only the
-// chip trace.
-//
-// Deprecated: RunTraceContext predates the Observer API and survives as a
-// thin shim over it — it runs the simulation with a Telemetry of period
-// traceEvery (replacing any cfg.Observe) and flattens the samples into
-// TraceResult. New code should set Config.Observe with a MemoryObserver
-// (or any Observer) and use the full Samples, which carry the token ledger,
-// mode residency and cache/NoC pressure alongside the power trace.
-func RunTraceContext(ctx context.Context, cfg Config, traceEvery int64, traceCore int) (*TraceResult, error) {
-	tr := &traceCapture{core: traceCore}
-	if traceEvery > 0 {
-		cfg.Observe = &Telemetry{Every: traceEvery, Ring: 1, Observer: tr}
-	} else {
-		cfg.Observe = nil
-	}
-	res, err := RunContext(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &TraceResult{
-		Result:         *res,
-		ChipTrace:      tr.chip,
-		CoreTrace:      tr.coreTrace,
-		GlobalBudgetPJ: res.BudgetPJ,
-	}, nil
-}
-
-// RunTrace executes a simulation while recording power traces.
-//
-// Deprecated: use RunTraceContext.
-func RunTrace(cfg Config, traceEvery int64, traceCore int) (*TraceResult, error) {
-	return RunTraceContext(context.Background(), cfg, traceEvery, traceCore)
-}
-
 // EDP returns the run's energy-delay product in joule-seconds.
 func (r *Result) EDP() float64 {
 	return r.EnergyJ * float64(r.Cycles) * (1.0 / 3e9)

@@ -1,16 +1,19 @@
 package ptbsim
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestFacadeRun(t *testing.T) {
-	base, err := Run(Config{Benchmark: "cholesky", Cores: 2, WorkloadScale: 0.08})
+	base, err := RunContext(context.Background(), Config{Benchmark: "cholesky", Cores: 2, WorkloadScale: 0.08})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Cycles == 0 || base.EnergyJ <= 0 {
 		t.Fatalf("empty result %+v", base)
 	}
-	ptb, err := Run(Config{Benchmark: "cholesky", Cores: 2, Technique: PTB, Policy: Dynamic, WorkloadScale: 0.08})
+	ptb, err := RunContext(context.Background(), Config{Benchmark: "cholesky", Cores: 2, Technique: PTB, Policy: Dynamic, WorkloadScale: 0.08})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +26,7 @@ func TestFacadeRun(t *testing.T) {
 }
 
 func TestFacadeUnknownBenchmark(t *testing.T) {
-	if _, err := Run(Config{Benchmark: "doom"}); err == nil {
+	if _, err := RunContext(context.Background(), Config{Benchmark: "doom"}); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
@@ -41,20 +44,23 @@ func TestFacadeBenchmarks(t *testing.T) {
 }
 
 func TestFacadeTrace(t *testing.T) {
-	tr, err := RunTrace(Config{Benchmark: "fft", Cores: 2, WorkloadScale: 0.05}, 100, 0)
+	var mem MemoryObserver
+	res, err := RunContext(context.Background(), Config{Benchmark: "fft", Cores: 2, WorkloadScale: 0.05,
+		Observe: &Telemetry{Every: 100, Observer: &mem}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.ChipTrace) == 0 || len(tr.CoreTrace) == 0 {
+	samples := mem.Samples()
+	if len(samples) == 0 || samples[0].ChipPJ <= 0 || len(samples[0].CorePJ) != 2 {
 		t.Fatal("traces empty")
 	}
-	if tr.GlobalBudgetPJ <= 0 {
+	if res.BudgetPJ <= 0 || samples[0].BudgetPJ != res.BudgetPJ {
 		t.Fatal("budget missing")
 	}
 }
 
 func TestFacadeBreakdownFields(t *testing.T) {
-	r, err := Run(Config{Benchmark: "fluidanimate", Cores: 4, WorkloadScale: 0.08})
+	r, err := RunContext(context.Background(), Config{Benchmark: "fluidanimate", Cores: 4, WorkloadScale: 0.08})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +81,7 @@ func TestFacadePTBLatency(t *testing.T) {
 }
 
 func TestFacadePessimisticLatency(t *testing.T) {
-	r, err := Run(Config{Benchmark: "ocean", Cores: 4, Technique: PTB,
+	r, err := RunContext(context.Background(), Config{Benchmark: "ocean", Cores: 4, Technique: PTB,
 		WorkloadScale: 0.05, PessimisticPTBLatency: true})
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +98,7 @@ func TestFacadePolicyStrings(t *testing.T) {
 }
 
 func TestFacadeClusteredPTB(t *testing.T) {
-	r, err := Run(Config{Benchmark: "fft", Cores: 8, Technique: PTB,
+	r, err := RunContext(context.Background(), Config{Benchmark: "fft", Cores: 8, Technique: PTB,
 		PTBClusterSize: 4, WorkloadScale: 0.05})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +109,7 @@ func TestFacadeClusteredPTB(t *testing.T) {
 }
 
 func TestFacadeMaxBIPS(t *testing.T) {
-	r, err := Run(Config{Benchmark: "fft", Cores: 2, Technique: MaxBIPS, WorkloadScale: 0.05})
+	r, err := RunContext(context.Background(), Config{Benchmark: "fft", Cores: 2, Technique: MaxBIPS, WorkloadScale: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +129,7 @@ func TestFacadeEDP(t *testing.T) {
 }
 
 func TestFacadeComponents(t *testing.T) {
-	r, err := Run(Config{Benchmark: "fft", Cores: 2, WorkloadScale: 0.05})
+	r, err := RunContext(context.Background(), Config{Benchmark: "fft", Cores: 2, WorkloadScale: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +139,7 @@ func TestFacadeComponents(t *testing.T) {
 }
 
 func TestFacadeSpinGate(t *testing.T) {
-	r, err := Run(Config{Benchmark: "fluidanimate", Cores: 4,
+	r, err := RunContext(context.Background(), Config{Benchmark: "fluidanimate", Cores: 4,
 		Technique: PTBSpinGate, Policy: Dynamic, WorkloadScale: 0.05})
 	if err != nil {
 		t.Fatal(err)

@@ -123,7 +123,7 @@ func (s TelemetrySpec) Validate() error {
 }
 
 // Start validates the spec, opens its output and builds the Telemetry to
-// put in Config.Observe (or Runner equivalents). The returned close
+// put in Config.Observe (or pass to WithObserver). The returned close
 // function flushes buffered samples, reports the first sink error and
 // closes the file; call it once after the run(s) finish:
 //
