@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race race-intra check chaos golden sweep-check bench bench-baseline bench-compare bench-smoke serve-smoke ckpt-conformance crash-e2e profile fuzz fmt vet
+.PHONY: all build test test-short race race-intra check chaos golden sweep-check bench bench-baseline bench-compare bench-smoke serve-smoke ckpt-conformance crash-e2e profile fuzz fmt vet loc
 
 all: build test
 
@@ -125,6 +125,12 @@ fuzz:
 
 fmt:
 	gofmt -l -w .
+
+# Non-test and test Go line counts of the working tree and their delta
+# against a revision (default HEAD~1): the line delta a change reports.
+REV ?= HEAD~1
+loc:
+	bash scripts/loc.sh $(REV)
 
 vet:
 	$(GO) vet ./...

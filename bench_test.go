@@ -20,35 +20,45 @@ import (
 	"ptbsim/internal/cpu"
 	"ptbsim/internal/isa"
 	"ptbsim/internal/power"
-	"ptbsim/internal/sim"
 )
 
 // benchScale keeps every trace benchmark in the seconds range.
 const benchScale = 0.06
 
-func BenchmarkFig5MotivationTrace(b *testing.B) {
+// benchTrace runs cfg on the 4-core no-control chip with a telemetry
+// observer sampling every `every` cycles, the way cmd/ptbtrace draws the
+// Fig. 5/6 traces, and reports the full-period sample count.
+func benchTrace(b *testing.B, bench string, every int64) {
 	var n int
 	for i := 0; i < b.N; i++ {
-		trace, budgetPJ := sim.Fig5Trace(benchScale)
-		if budgetPJ <= 0 {
+		mo := &MemoryObserver{}
+		res, err := RunContext(context.Background(), Config{
+			Benchmark:     bench,
+			Cores:         4,
+			Technique:     None,
+			WorkloadScale: benchScale,
+			MaxCycles:     20_000_000,
+			Observe:       &Telemetry{Every: every, Ring: 1, Observer: mo},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.BudgetPJ <= 0 {
 			b.Fatal("no budget")
 		}
-		n = len(trace)
+		n = 0
+		for _, s := range mo.Samples() {
+			if !s.Partial {
+				n++
+			}
+		}
 	}
 	b.ReportMetric(float64(n), "samples")
 }
 
-func BenchmarkFig6SpinTrace(b *testing.B) {
-	var n int
-	for i := 0; i < b.N; i++ {
-		trace, local := sim.Fig6Trace(benchScale)
-		if local <= 0 {
-			b.Fatal("no budget")
-		}
-		n = len(trace)
-	}
-	b.ReportMetric(float64(n), "samples")
-}
+func BenchmarkFig5MotivationTrace(b *testing.B) { benchTrace(b, "ocean", 50) }
+
+func BenchmarkFig6SpinTrace(b *testing.B) { benchTrace(b, "raytrace", 10) }
 
 // BenchmarkFig7BalancerThroughput exercises the worked-example machinery:
 // the PTB balancer redistributing tokens cycle by cycle (the Fig. 7 flow),

@@ -35,57 +35,51 @@ import (
 	"bufio"
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
 	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"syscall"
 
 	"ptbsim"
-	"ptbsim/internal/prof"
+	"ptbsim/internal/cli"
 )
 
-func main() {
+func main() { cli.Main(run) }
+
+// run executes one ptbchaos invocation and returns its exit status.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	c := cli.New("ptbchaos", stdout, stderr)
+	fs := c.Flags
 	var (
-		bench    = flag.String("bench", "ocean", "benchmark name")
-		coresCSV = flag.String("cores", "2,4,8", "comma-separated core counts")
-		ratesCSV = flag.String("rates", "0,0.25,0.75", "comma-separated token-drop rates in [0, 1]")
-		scale    = flag.Float64("scale", 0.25, "workload scale (1.0 = Table 2 size)")
-		seed     = flag.Uint64("seed", 1, "fault-injection seed")
-		par      = flag.Int("par", runtime.NumCPU(), "parallel simulations")
-		check    = flag.Bool("check", false, "enable runtime invariant checks on every run (fails on any violation)")
-		assert   = flag.Bool("assert-monotone", false, "exit 1 unless the energy-accuracy error is non-decreasing in the drop rate for every core count")
-		quiet    = flag.Bool("q", false, "suppress per-run progress")
-		outPath  = flag.String("o", "", "output file (default stdout)")
-		parIn    = flag.Int("par-intra", 0, "shard each simulated chip across up to this many goroutine-stepped tiles (0 = serial; each chip uses the largest divisor of its core count that fits; output is identical at any value)")
+		bench    = fs.String("bench", "ocean", "benchmark name")
+		coresCSV = fs.String("cores", "2,4,8", "comma-separated core counts")
+		ratesCSV = fs.String("rates", "0,0.25,0.75", "comma-separated token-drop rates in [0, 1]")
+		scale    = fs.Float64("scale", 0.25, "workload scale (1.0 = Table 2 size)")
+		seed     = fs.Uint64("seed", 1, "fault-injection seed")
+		par      = fs.Int("par", runtime.NumCPU(), "parallel simulations")
+		check    = fs.Bool("check", false, "enable runtime invariant checks on every run (fails on any violation)")
+		assert   = fs.Bool("assert-monotone", false, "exit 1 unless the energy-accuracy error is non-decreasing in the drop rate for every core count")
+		quiet    = fs.Bool("q", false, "suppress per-run progress")
+		outPath  = fs.String("o", "", "output file (default stdout)")
+		parIn    = fs.Int("par-intra", 0, "shard each simulated chip across up to this many goroutine-stepped tiles (0 = serial; each chip uses the largest divisor of its core count that fits; output is identical at any value)")
 	)
 	pol := ptbsim.Dynamic
-	flag.Var(&pol, "policy", "PTB policy: "+strings.Join(ptbsim.PolicyNames(), ", "))
+	fs.Var(&pol, "policy", "PTB policy: "+strings.Join(ptbsim.PolicyNames(), ", "))
 	var telemetry ptbsim.TelemetryFlag
-	flag.Var(&telemetry, "telemetry", "stream epoch telemetry from every run into one merged feed, e.g. every=2048,out=chaos.jsonl")
-	profFlags := prof.Register(nil)
-	flag.Parse()
-	stopProf, err := profFlags.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	fs.Var(&telemetry, "telemetry", "stream epoch telemetry from every run into one merged feed, e.g. every=2048,out=chaos.jsonl")
+	if err := c.Parse(args); err != nil {
+		return c.Exit(err)
 	}
-	defer stopProf()
 
 	cores, err := parseInts(*coresCSV)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bad -cores:", err)
-		os.Exit(2)
+		return c.Exit(cli.Usage(fmt.Errorf("bad -cores: %w", err)))
 	}
 	rates, err := parseRates(*ratesCSV)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bad -rates:", err)
-		os.Exit(2)
+		return c.Exit(cli.Usage(fmt.Errorf("bad -rates: %w", err)))
 	}
 	sort.Float64s(rates)
 	if rates[0] != 0 {
@@ -94,22 +88,9 @@ func main() {
 		rates = append([]float64{0}, rates...)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	var out io.Writer = os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fail(err)
-			}
-		}()
-		out = f
+	out, err := c.Output(*outPath)
+	if err != nil {
+		return c.Exit(err)
 	}
 
 	opts := []ptbsim.Option{
@@ -122,19 +103,11 @@ func main() {
 	if *check {
 		opts = append(opts, ptbsim.WithInvariants())
 	}
-	if telemetry.Spec != nil {
-		tel, closeTel, err := telemetry.Spec.Start()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		opts = append(opts, ptbsim.WithObserver(tel.Every, tel.Observer), ptbsim.WithObserverRing(tel.Ring))
-		defer func() {
-			if err := closeTel(); err != nil {
-				fmt.Fprintln(os.Stderr, "ptbchaos: telemetry:", err)
-			}
-		}()
+	telOpts, err := c.ExperimentTelemetry(telemetry.Spec)
+	if err != nil {
+		return c.Exit(err)
 	}
+	opts = append(opts, telOpts...)
 	if !*quiet {
 		opts = append(opts, ptbsim.WithProgress(func(p ptbsim.Progress) {
 			if p.Err == nil {
@@ -142,12 +115,13 @@ func main() {
 				if p.Config.Faults != nil {
 					drop = p.Config.Faults.TokenDrop
 				}
-				fmt.Fprintf(os.Stderr, "ran %2d/%d %s/%d drop=%g\n",
+				fmt.Fprintf(stderr, "ran %2d/%d %s/%d drop=%g\n",
 					p.Done, p.Total, p.Config.Benchmark, p.Config.Cores, drop)
 			}
 		}))
 	}
 	e := ptbsim.NewExperiment(opts...)
+	c.Defer(func() error { e.Close(); return nil })
 
 	// One config per (cores, rate), row-major in the table's print order.
 	var cfgs []ptbsim.Config
@@ -165,7 +139,7 @@ func main() {
 	}
 	results, err := e.RunAll(ctx, cfgs)
 	if err != nil {
-		fail(err)
+		return c.Exit(err)
 	}
 
 	w := bufio.NewWriter(out)
@@ -194,13 +168,12 @@ func main() {
 		}
 	}
 	if err := w.Flush(); err != nil {
-		fail(err)
+		return c.Exit(err)
 	}
 	if *assert && !monotone {
-		fmt.Fprintln(os.Stderr, "ptbchaos: energy-accuracy error is not monotone in the token-drop rate")
-		stopProf()
-		os.Exit(1)
+		return c.Exit(errors.New("ptbchaos: energy-accuracy error is not monotone in the token-drop rate"))
 	}
+	return c.Exit(nil)
 }
 
 // accountingErrPct is the balancer's energy-accuracy error: the share of
@@ -263,13 +236,4 @@ func parseRates(csv string) ([]float64, error) {
 		return nil, errors.New("empty list")
 	}
 	return out, nil
-}
-
-func fail(err error) {
-	if errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "ptbchaos: interrupted")
-		os.Exit(130)
-	}
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

@@ -19,63 +19,45 @@ package main
 import (
 	"bufio"
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
 	"runtime"
 	"strconv"
 	"strings"
-	"syscall"
 
 	"ptbsim"
-	"ptbsim/internal/prof"
+	"ptbsim/internal/cli"
 )
 
-func main() {
+func main() { cli.Main(run) }
+
+// run executes one ptbgolden invocation and returns its exit status.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	c := cli.New("ptbgolden", stdout, stderr)
+	fs := c.Flags
 	var (
-		scale   = flag.Float64("scale", 0.25, "workload scale (matches the committed baseline)")
-		cores   = flag.String("cores", "4", "comma-separated CMP sizes for the matrix")
-		benches = flag.String("benches", "", "comma-separated benchmarks (default: all 14)")
-		techsIn = flag.String("techs", "", "comma-separated techniques (default: all)")
-		cluster = flag.Int("cluster", 0, "PTB cluster size applied to the PTB-family runs (0 = one chip-wide balancer)")
-		par     = flag.Int("par", runtime.NumCPU(), "parallel simulations (output is identical at any value)")
-		parIn   = flag.Int("par-intra", 0, "shard each simulated chip across up to this many goroutine-stepped tiles (0 = serial; each chip uses the largest divisor of its core count that fits; digests are identical at any value)")
-		check   = flag.Bool("check", true, "enable runtime invariant checks on every run")
-		quiet   = flag.Bool("q", false, "suppress per-run progress")
-		outPath = flag.String("o", "", "output file (default stdout)")
+		scale   = fs.Float64("scale", 0.25, "workload scale (matches the committed baseline)")
+		cores   = fs.String("cores", "4", "comma-separated CMP sizes for the matrix")
+		benches = fs.String("benches", "", "comma-separated benchmarks (default: all 14)")
+		techsIn = fs.String("techs", "", "comma-separated techniques (default: all)")
+		cluster = fs.Int("cluster", 0, "PTB cluster size applied to the PTB-family runs (0 = one chip-wide balancer)")
+		par     = fs.Int("par", runtime.NumCPU(), "parallel simulations (output is identical at any value)")
+		parIn   = fs.Int("par-intra", 0, "shard each simulated chip across up to this many goroutine-stepped tiles (0 = serial; each chip uses the largest divisor of its core count that fits; digests are identical at any value)")
+		check   = fs.Bool("check", true, "enable runtime invariant checks on every run")
+		quiet   = fs.Bool("q", false, "suppress per-run progress")
+		outPath = fs.String("o", "", "output file (default stdout)")
 	)
 	var faults ptbsim.FaultSpecFlag
-	flag.Var(&faults, "faults", "fault-injection spec applied to every run (a zero-rate spec must reproduce the committed baseline byte-for-byte)")
+	fs.Var(&faults, "faults", "fault-injection spec applied to every run (a zero-rate spec must reproduce the committed baseline byte-for-byte)")
 	var telemetry ptbsim.TelemetryFlag
-	flag.Var(&telemetry, "telemetry", "stream epoch telemetry from every run, e.g. every=2048,out=golden.jsonl (digests are identical with or without it)")
-	profFlags := prof.Register(nil)
-	flag.Parse()
-	stopProf, err := profFlags.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	fs.Var(&telemetry, "telemetry", "stream epoch telemetry from every run, e.g. every=2048,out=golden.jsonl (digests are identical with or without it)")
+	if err := c.Parse(args); err != nil {
+		return c.Exit(err)
 	}
-	defer stopProf()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	var out io.Writer = os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fail(err)
-			}
-		}()
-		out = f
+	out, err := c.Output(*outPath)
+	if err != nil {
+		return c.Exit(err)
 	}
 
 	opts := []ptbsim.Option{
@@ -91,28 +73,21 @@ func main() {
 	if *parIn > 0 {
 		opts = append(opts, ptbsim.WithIntraParallel(*parIn))
 	}
-	if telemetry.Spec != nil {
-		tel, closeTel, err := telemetry.Spec.Start()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		opts = append(opts, ptbsim.WithObserver(tel.Every, tel.Observer), ptbsim.WithObserverRing(tel.Ring))
-		defer func() {
-			if err := closeTel(); err != nil {
-				fmt.Fprintln(os.Stderr, "ptbgolden: telemetry:", err)
-			}
-		}()
+	telOpts, err := c.ExperimentTelemetry(telemetry.Spec)
+	if err != nil {
+		return c.Exit(err)
 	}
+	opts = append(opts, telOpts...)
 	if !*quiet {
 		opts = append(opts, ptbsim.WithProgress(func(p ptbsim.Progress) {
 			if p.Err == nil {
-				fmt.Fprintf(os.Stderr, "ran %3d/%d %s/%d/%s\n",
+				fmt.Fprintf(stderr, "ran %3d/%d %s/%d/%s\n",
 					p.Done, p.Total, p.Config.Benchmark, p.Config.Cores, p.Config.Technique)
 			}
 		}))
 	}
 	e := ptbsim.NewExperiment(opts...)
+	c.Defer(func() error { e.Close(); return nil })
 
 	techNames := ptbsim.TechniqueNames()
 	techLabel := "all"
@@ -124,7 +99,7 @@ func main() {
 	for _, name := range techNames {
 		t, err := ptbsim.ParseTechnique(name)
 		if err != nil {
-			fail(err)
+			return c.Exit(err)
 		}
 		techs = append(techs, t)
 	}
@@ -132,7 +107,7 @@ func main() {
 	for _, s := range strings.Split(*cores, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil {
-			fail(fmt.Errorf("ptbgolden: bad -cores entry %q: %w", s, err))
+			return c.Exit(fmt.Errorf("ptbgolden: bad -cores entry %q: %w", s, err))
 		}
 		coreCounts = append(coreCounts, n)
 	}
@@ -156,7 +131,7 @@ func main() {
 	}
 	results, err := e.RunAll(ctx, cfgs)
 	if err != nil {
-		fail(err)
+		return c.Exit(err)
 	}
 
 	w := bufio.NewWriter(out)
@@ -170,16 +145,5 @@ func main() {
 	for _, r := range results {
 		fmt.Fprintln(w, r.Digest())
 	}
-	if err := w.Flush(); err != nil {
-		fail(err)
-	}
-}
-
-func fail(err error) {
-	if errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "ptbgolden: interrupted")
-		os.Exit(130)
-	}
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
+	return c.Exit(w.Flush())
 }

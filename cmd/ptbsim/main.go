@@ -12,66 +12,62 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"flag"
 	"fmt"
-	"os"
-	"os/signal"
+	"io"
 	"strings"
-	"syscall"
 
 	"ptbsim"
-	"ptbsim/internal/prof"
+	"ptbsim/internal/cli"
 )
 
-func main() {
+func main() { cli.Main(run) }
+
+// run executes one ptbsim invocation and returns its exit status.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	c := cli.New("ptbsim", stdout, stderr)
+	fs := c.Flags
 	var (
-		bench   = flag.String("bench", "ocean", "benchmark name (see -list)")
-		cores   = flag.Int("cores", 4, "number of cores (2, 4, 8, 16)")
-		relax   = flag.Float64("relax", 0, "relaxed trigger threshold (e.g. 0.2 = +20%)")
-		budget  = flag.Float64("budget", 0.5, "global budget as a fraction of rated peak")
-		scale   = flag.Float64("scale", 1.0, "workload scale (1.0 = Table 2 size)")
-		noBase  = flag.Bool("nobase", false, "skip the base-case run and normalization")
-		pessim  = flag.Bool("pessimistic", false, "use the 10-cycle PTB latency")
-		check   = flag.Bool("check", false, "enable runtime invariant checks (fails on any violation)")
-		listAll = flag.Bool("list", false, "list benchmarks and exit")
-		asJSON  = flag.Bool("json", false, "emit the result as JSON")
-		parIn   = flag.String("par-intra", "1", "shard the simulated chip across this many goroutine-stepped tiles (a divisor of -cores; results are bit-identical at any legal value)")
+		bench   = fs.String("bench", "ocean", "benchmark name (see -list)")
+		cores   = fs.Int("cores", 4, "number of cores (2, 4, 8, 16)")
+		relax   = fs.Float64("relax", 0, "relaxed trigger threshold (e.g. 0.2 = +20%)")
+		budget  = fs.Float64("budget", 0.5, "global budget as a fraction of rated peak")
+		scale   = fs.Float64("scale", 1.0, "workload scale (1.0 = Table 2 size)")
+		noBase  = fs.Bool("nobase", false, "skip the base-case run and normalization")
+		pessim  = fs.Bool("pessimistic", false, "use the 10-cycle PTB latency")
+		check   = fs.Bool("check", false, "enable runtime invariant checks (fails on any violation)")
+		listAll = fs.Bool("list", false, "list benchmarks and exit")
+		asJSON  = fs.Bool("json", false, "emit the result as JSON")
+		parIn   = fs.String("par-intra", "1", "shard the simulated chip across this many goroutine-stepped tiles (a divisor of -cores; results are bit-identical at any legal value)")
 	)
 	// The typed flag.Values validate at parse time through the library's
 	// parsers, so unknown names fail loudly with the canonical errors
 	// instead of silently defaulting.
 	tech := ptbsim.PTB
-	flag.Var(&tech, "tech", "technique: "+strings.Join(ptbsim.TechniqueNames(), ", "))
+	fs.Var(&tech, "tech", "technique: "+strings.Join(ptbsim.TechniqueNames(), ", "))
 	policy := ptbsim.Dynamic
-	flag.Var(&policy, "policy", "PTB policy: "+strings.Join(ptbsim.PolicyNames(), ", "))
+	fs.Var(&policy, "policy", "PTB policy: "+strings.Join(ptbsim.PolicyNames(), ", "))
 	var faults ptbsim.FaultSpecFlag
-	flag.Var(&faults, "faults", "fault-injection spec, e.g. seed=42,drop=0.25,noise=0.02 (keys: seed, drop, delay, dup, delaycycles, stale, retries, backoff, stall, stallcycles, corrupt, noise, drift, glitch)")
+	fs.Var(&faults, "faults", "fault-injection spec, e.g. seed=42,drop=0.25,noise=0.02 (keys: seed, drop, delay, dup, delaycycles, stale, retries, backoff, stall, stallcycles, corrupt, noise, drift, glitch)")
 	var telemetry ptbsim.TelemetryFlag
-	flag.Var(&telemetry, "telemetry", "stream epoch telemetry, e.g. every=2048,out=run.jsonl (keys: every, ring, out, format)")
+	fs.Var(&telemetry, "telemetry", "stream epoch telemetry, e.g. every=2048,out=run.jsonl (keys: every, ring, out, format)")
 	var checkpoint ptbsim.CheckpointFlag
-	flag.Var(&checkpoint, "checkpoint", "write crash-recovery snapshots and auto-resume, e.g. every=500000,dir=ckpt (keys: every, dir, stop)")
-	resume := flag.String("resume", "", "resume explicitly from this snapshot file and run to completion (ignores the workload flags; fails loudly on a corrupt or mismatched snapshot)")
-	profFlags := prof.Register(nil)
-	flag.Parse()
-	stopProf, err := profFlags.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	fs.Var(&checkpoint, "checkpoint", "write crash-recovery snapshots and auto-resume, e.g. every=500000,dir=ckpt (keys: every, dir, stop)")
+	resume := fs.String("resume", "", "resume explicitly from this snapshot file and run to completion (ignores the workload flags; fails loudly on a corrupt or mismatched snapshot)")
+	if err := c.Parse(args); err != nil {
+		return c.Exit(err)
 	}
-	defer stopProf()
 
 	if *listAll {
-		fmt.Printf("%-9s %-14s %s\n", "SUITE", "BENCHMARK", "INPUT")
+		fmt.Fprintf(stdout, "%-9s %-14s %s\n", "SUITE", "BENCHMARK", "INPUT")
 		for _, b := range ptbsim.Benchmarks() {
-			fmt.Printf("%-9s %-14s %s\n", b.Suite, b.Name, b.InputSize)
+			fmt.Fprintf(stdout, "%-9s %-14s %s\n", b.Suite, b.Name, b.InputSize)
 		}
-		return
+		return c.Exit(nil)
 	}
 
 	tiles, err := ptbsim.ParseIntraParallel(*parIn, *cores)
 	if err != nil {
-		fail(err)
+		return c.Exit(err)
 	}
 
 	cfg := ptbsim.Config{
@@ -90,22 +86,9 @@ func main() {
 	if checkpoint.Spec != nil {
 		cfg.Checkpoint = checkpoint.Spec.Checkpoint()
 	}
-	if telemetry.Spec != nil {
-		tel, closeTel, err := telemetry.Spec.Start()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		cfg.Observe = tel
-		defer func() {
-			if err := closeTel(); err != nil {
-				fmt.Fprintln(os.Stderr, "ptbsim: telemetry:", err)
-			}
-		}()
+	if cfg.Observe, err = c.Telemetry(telemetry.Spec); err != nil {
+		return c.Exit(err)
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	if *resume != "" {
 		// Snapshots are self-describing, so -resume needs no workload flags:
@@ -117,19 +100,17 @@ func main() {
 		}
 		r, err := ptbsim.ResumeContext(ctx, *resume, every)
 		if err != nil {
-			fail(err)
+			return c.Exit(err)
 		}
-		emit(r, *asJSON)
-		return
+		return c.Exit(emit(stdout, r, *asJSON))
 	}
 
 	r, err := ptbsim.RunContext(ctx, cfg)
 	if err != nil {
-		fail(err)
+		return c.Exit(err)
 	}
-	emit(r, *asJSON)
-	if *asJSON {
-		return
+	if err := emit(stdout, r, *asJSON); err != nil || *asJSON {
+		return c.Exit(err)
 	}
 
 	if !*noBase && cfg.Technique != ptbsim.None {
@@ -138,80 +119,60 @@ func main() {
 		baseCfg.Observe = nil // the telemetry feed covers the headline run
 		base, err := ptbsim.RunContext(ctx, baseCfg)
 		if err != nil {
-			fail(err)
+			return c.Exit(err)
 		}
-		fmt.Println("vs no-control base case:")
-		fmt.Printf("  normalized energy : %+6.1f %%\n", ptbsim.NormalizedEnergyPct(r, base))
-		fmt.Printf("  normalized AoPB   : %6.1f %%\n", ptbsim.NormalizedAoPBPct(r, base))
-		fmt.Printf("  slowdown          : %+6.1f %%\n", ptbsim.SlowdownPct(r, base))
+		fmt.Fprintln(stdout, "vs no-control base case:")
+		fmt.Fprintf(stdout, "  normalized energy : %+6.1f %%\n", ptbsim.NormalizedEnergyPct(r, base))
+		fmt.Fprintf(stdout, "  normalized AoPB   : %6.1f %%\n", ptbsim.NormalizedAoPBPct(r, base))
+		fmt.Fprintf(stdout, "  slowdown          : %+6.1f %%\n", ptbsim.SlowdownPct(r, base))
 	}
+	return c.Exit(nil)
 }
 
 // emit prints r either as indented JSON or in the human layout.
-func emit(r *ptbsim.Result, asJSON bool) {
+func emit(w io.Writer, r *ptbsim.Result, asJSON bool) error {
 	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(r); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+		return enc.Encode(r)
 	}
-	printResult(r)
+	printResult(w, r)
+	return nil
 }
 
-// fail reports err and exits, distinguishing an interrupted run (exit 130,
-// the conventional SIGINT status) and a deliberate crash-drill stop (exit 3,
-// resumable) from a real failure.
-func fail(err error) {
-	if errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, err)
-		fmt.Fprintln(os.Stderr, "ptbsim: interrupted")
-		os.Exit(130)
-	}
-	if errors.Is(err, ptbsim.ErrRunStopped) {
-		fmt.Fprintln(os.Stderr, "ptbsim: crash drill stop:", err)
-		fmt.Fprintln(os.Stderr, "ptbsim: rerun with the same -checkpoint dir to resume")
-		os.Exit(3)
-	}
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
-}
-
-func printResult(r *ptbsim.Result) {
+func printResult(w io.Writer, r *ptbsim.Result) {
 	label := string(r.Technique)
 	if r.Technique == ptbsim.PTB {
 		label += "/" + r.Policy
 	}
-	fmt.Printf("%s on %d cores (%s)\n", r.Benchmark, r.Cores, label)
-	fmt.Printf("  cycles            : %d\n", r.Cycles)
-	fmt.Printf("  instructions      : %d (IPC/core %.2f)\n", r.Committed,
+	fmt.Fprintf(w, "%s on %d cores (%s)\n", r.Benchmark, r.Cores, label)
+	fmt.Fprintf(w, "  cycles            : %d\n", r.Cycles)
+	fmt.Fprintf(w, "  instructions      : %d (IPC/core %.2f)\n", r.Committed,
 		float64(r.Committed)/float64(r.Cycles)/float64(r.Cores))
-	fmt.Printf("  energy            : %.4f mJ\n", r.EnergyJ*1e3)
-	fmt.Printf("  AoPB              : %.4f mJ (over budget %.1f%% of cycles)\n",
+	fmt.Fprintf(w, "  energy            : %.4f mJ\n", r.EnergyJ*1e3)
+	fmt.Fprintf(w, "  AoPB              : %.4f mJ (over budget %.1f%% of cycles)\n",
 		r.AoPBJ*1e3, r.OverBudgetFrac*100)
-	fmt.Printf("  chip power        : %.2f W mean, %.2f W std\n", r.MeanPowerW, r.StdPowerW)
-	fmt.Printf("  time breakdown    : busy %.1f%%, lock-acq %.1f%%, lock-rel %.1f%%, barrier %.1f%%\n",
+	fmt.Fprintf(w, "  chip power        : %.2f W mean, %.2f W std\n", r.MeanPowerW, r.StdPowerW)
+	fmt.Fprintf(w, "  time breakdown    : busy %.1f%%, lock-acq %.1f%%, lock-rel %.1f%%, barrier %.1f%%\n",
 		r.BusyFrac*100, r.LockAcqFrac*100, r.LockRelFrac*100, r.BarrierFrac*100)
-	fmt.Printf("  spinning power    : %.1f %% of energy\n", r.SpinEnergyFrac*100)
-	fmt.Printf("  temperature       : %.1f C mean, %.2f C std\n", r.MeanTempC, r.StdTempC)
+	fmt.Fprintf(w, "  spinning power    : %.1f %% of energy\n", r.SpinEnergyFrac*100)
+	fmt.Fprintf(w, "  temperature       : %.1f C mean, %.2f C std\n", r.MeanTempC, r.StdTempC)
 	if len(r.ComponentJ) > 0 && r.EnergyJ > 0 {
-		fmt.Printf("  energy by group   :")
+		fmt.Fprintf(w, "  energy by group   :")
 		for _, g := range []string{"frontend", "execute", "caches", "noc", "dram", "power-mgmt", "clock", "leakage"} {
-			fmt.Printf(" %s %.0f%%", g, 100*r.ComponentJ[g]/r.EnergyJ)
+			fmt.Fprintf(w, " %s %.0f%%", g, 100*r.ComponentJ[g]/r.EnergyJ)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if r.FaultsInjected > 0 || r.Degraded {
-		fmt.Printf("  faults injected   : %d (token lost %.0f pJ, retries %d, reports lost %d, stale-fallback %d cycles, noc stalls %d, retransmits %d, dvfs glitches %d)\n",
+		fmt.Fprintf(w, "  faults injected   : %d (token lost %.0f pJ, retries %d, reports lost %d, stale-fallback %d cycles, noc stalls %d, retransmits %d, dvfs glitches %d)\n",
 			r.FaultsInjected, r.TokenLostPJ, r.TokenRetries, r.TokenReportsLost,
 			r.StaleFallbackCycles, r.NoCStallCycles, r.NoCRetransmits, r.DVFSGlitches)
 		if r.Degraded {
-			fmt.Println("  DEGRADED: balancer lost tokens or ran on the stale-share fallback")
+			fmt.Fprintln(w, "  DEGRADED: balancer lost tokens or ran on the stale-share fallback")
 		}
 	}
 	if r.HitMaxCycles {
-		fmt.Println("  WARNING: run truncated by the cycle cap")
+		fmt.Fprintln(w, "  WARNING: run truncated by the cycle cap")
 	}
 }

@@ -25,32 +25,23 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
 	"runtime"
 	"strings"
-	"syscall"
 
 	"ptbsim"
+	"ptbsim/internal/cli"
 	"ptbsim/internal/figures"
-	"ptbsim/internal/prof"
 	"ptbsim/internal/store"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
-	stop()
-	os.Exit(code)
-}
+func main() { cli.Main(run) }
 
 // run executes one ptbsweep invocation and returns its exit status.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("ptbsweep", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	c := cli.New("ptbsweep", stdout, stderr)
+	fs := c.Flags
 	var (
 		exp     = fs.String("exp", "all", "experiment: "+strings.Join(figures.IDs, ",")+",all")
 		scale   = fs.Float64("scale", 0.25, "workload scale (1.0 = Table 2 size)")
@@ -72,38 +63,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	var checkpoint ptbsim.CheckpointFlag
 	fs.Var(&checkpoint, "checkpoint", "make the sweep resumable through this directory, e.g. every=500000,dir=sweep-ckpt: finished cells persist and are skipped on restart, partial cells snapshot and resume (keys: every, dir, stop)")
 	resume := fs.String("resume", "", "resume the sweep saved in this directory (shorthand for -checkpoint dir=DIR at the default cadence)")
-	profFlags := prof.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
+	if err := c.Parse(args); err != nil {
+		return c.Exit(err)
 	}
-	stopProf, err := profFlags.Start()
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	defer stopProf()
-
-	fail := func(err error) int {
-		switch {
-		case errors.Is(err, context.Canceled):
-			fmt.Fprintln(stderr, "ptbsweep: interrupted")
-			return 130
-		case errors.Is(err, ptbsim.ErrRunStopped):
-			fmt.Fprintln(stderr, "ptbsweep: crash drill stop:", err)
-			fmt.Fprintln(stderr, "ptbsweep: rerun with the same -checkpoint dir to resume")
-			return 3
-		}
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-
 	p, err := figures.NewParams(*benches, *cores, *big, *relax)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
+		return c.Exit(cli.Usage(err))
 	}
 
 	opts := []ptbsim.Option{
@@ -128,7 +93,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		ck := checkpoint.Spec.Checkpoint()
 		st, err := store.Open(ck.Dir)
 		if err != nil {
-			return fail(err)
+			return c.Exit(err)
 		}
 		if n := len(st.Rejected()); n > 0 {
 			fmt.Fprintf(stderr, "ptbsweep: %d unreadable cell files quarantined (recomputing those cells)\n", n)
@@ -137,62 +102,49 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "ptbsweep: resuming: %d completed cells loaded from %s\n", n, ck.Dir)
 		}
 		opts = append(opts, ptbsim.WithCache(st), ptbsim.WithCheckpoint(ck))
-		defer func() {
+		c.Defer(func() error {
+			// A lost cell write degrades the store, not the output.
 			if err := st.Err(); err != nil {
 				fmt.Fprintln(stderr, "ptbsweep:", err)
 			}
-		}()
+			return nil
+		})
 	}
-	if telemetry.Spec != nil {
-		tel, closeTel, err := telemetry.Spec.Start()
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		// The experiment serializes the shared sink into one merged feed;
-		// the per-sample run tags keep it unambiguous.
-		opts = append(opts, ptbsim.WithObserver(tel.Every, tel.Observer), ptbsim.WithObserverRing(tel.Ring))
-		defer func() {
-			if err := closeTel(); err != nil {
-				fmt.Fprintln(stderr, "ptbsweep: telemetry:", err)
-			}
-		}()
+	// The experiment serializes the shared sink into one merged feed; the
+	// per-sample run tags keep it unambiguous.
+	telOpts, err := c.ExperimentTelemetry(telemetry.Spec)
+	if err != nil {
+		return c.Exit(err)
 	}
+	opts = append(opts, telOpts...)
 	if !*quiet {
 		opts = append(opts, ptbsim.WithProgress(figures.Progress(stderr)))
 	}
 	e := ptbsim.NewExperiment(opts...)
-	defer e.Close()
+	c.Defer(func() error { e.Close(); return nil })
 
 	ids := strings.Split(*exp, ",")
 	if *exp == "all" {
 		// Precompute every needed run on the worker pool; the figure
 		// builders then assemble tables from the cache.
 		if _, err := e.RunAll(ctx, p.Configs()); err != nil {
-			return fail(err)
+			return c.Exit(err)
 		}
 		ids = figures.IDs
 	}
 
-	out := stdout
-	var f *os.File
-	if *outPath != "" {
-		if f, err = os.Create(*outPath); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		defer f.Close()
-		out = f
+	out, err := c.Output(*outPath)
+	if err != nil {
+		return c.Exit(err)
 	}
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
 		t, err := figures.Build(ctx, e, id, p)
 		if errors.Is(err, figures.ErrUnknownID) {
-			fmt.Fprintf(stderr, "unknown experiment %q\n", id)
-			return 2
+			return c.Exit(cli.Usage(fmt.Errorf("unknown experiment %q", id)))
 		}
 		if err != nil {
-			return fail(err)
+			return c.Exit(err)
 		}
 		switch *format {
 		case "md":
@@ -203,10 +155,5 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			t.Render(out)
 		}
 	}
-	if f != nil {
-		if err := f.Close(); err != nil {
-			return fail(err)
-		}
-	}
-	return 0
+	return c.Exit(nil)
 }

@@ -12,89 +12,75 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
-	"os"
-	"os/signal"
+	"io"
 	"strings"
-	"syscall"
 
 	"ptbsim"
-	"ptbsim/internal/prof"
+	"ptbsim/internal/cli"
 )
 
-func main() {
+func main() { cli.Main(run) }
+
+// run executes one ptbtrace invocation and returns its exit status.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	c := cli.New("ptbtrace", stdout, stderr)
+	fs := c.Flags
 	var (
-		exp   = flag.String("exp", "fig5", "trace: fig5 (chip power vs budget), fig6 (spinning core)")
-		scale = flag.Float64("scale", 0.15, "workload scale")
-		csv   = flag.Bool("csv", false, "emit CSV samples instead of an ASCII chart")
-		width = flag.Int("width", 100, "chart columns")
-		check = flag.Bool("check", false, "enable runtime invariant checks (fails on any violation)")
+		exp   = fs.String("exp", "fig5", "trace: fig5 (chip power vs budget), fig6 (spinning core)")
+		scale = fs.Float64("scale", 0.15, "workload scale")
+		csv   = fs.Bool("csv", false, "emit CSV samples instead of an ASCII chart")
+		width = fs.Int("width", 100, "chart columns")
+		check = fs.Bool("check", false, "enable runtime invariant checks (fails on any violation)")
 	)
 	var faults ptbsim.FaultSpecFlag
-	flag.Var(&faults, "faults", "fault-injection spec, e.g. seed=42,noise=0.05")
-	profFlags := prof.Register(nil)
-	flag.Parse()
-	stopProf, err := profFlags.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	fs.Var(&faults, "faults", "fault-injection spec, e.g. seed=42,noise=0.05")
+	if err := c.Parse(args); err != nil {
+		return c.Exit(err)
 	}
-	defer stopProf()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	var trace []float64
-	var budget float64
-	var title string
-	switch *exp {
-	case "fig5":
-		chip, _, budgetPJ, err := tracePower(ctx, ptbsim.Config{
-			Benchmark:       "ocean",
-			Cores:           4,
-			Technique:       ptbsim.None,
-			WorkloadScale:   *scale,
-			MaxCycles:       20_000_000,
-			CheckInvariants: *check,
-			Faults:          faults.Spec,
-		}, 50, -1)
-		if err != nil {
-			fail(err)
+	trace, budget, title, err := figTrace(ctx, *exp, ptbsim.Config{
+		WorkloadScale:   *scale,
+		CheckInvariants: *check,
+		Faults:          faults.Spec,
+	})
+	if err != nil {
+		return c.Exit(err)
+	}
+	if *csv {
+		fmt.Fprintln(stdout, "sample,power_pj,budget_pj")
+		for i, v := range trace {
+			fmt.Fprintf(stdout, "%d,%.1f,%.1f\n", i, v, budget)
 		}
-		trace, budget = chip, budgetPJ
+		return c.Exit(nil)
+	}
+	fmt.Fprintln(stdout, title)
+	chart(stdout, trace, budget, *width)
+	return c.Exit(nil)
+}
+
+// figTrace runs the figure's workload on the 4-core no-control chip with
+// cfg's scale, invariant and fault settings, and returns the figure's
+// power trace, its budget line (pJ/cycle) and its title.
+func figTrace(ctx context.Context, exp string, cfg ptbsim.Config) (trace []float64, budget float64, title string, err error) {
+	cfg.Cores = 4
+	cfg.Technique = ptbsim.None
+	cfg.MaxCycles = 20_000_000
+	switch exp {
+	case "fig5":
+		cfg.Benchmark = "ocean"
+		trace, _, budget, err = tracePower(ctx, cfg, 50, -1)
 		title = "Figure 5 — per-cycle CMP power vs the global power budget (4-core ocean)"
 	case "fig6":
-		_, coreTrace, budgetPJ, err := tracePower(ctx, ptbsim.Config{
-			Benchmark:       "raytrace",
-			Cores:           4,
-			Technique:       ptbsim.None,
-			WorkloadScale:   *scale,
-			MaxCycles:       20_000_000,
-			CheckInvariants: *check,
-			Faults:          faults.Spec,
-		}, 10, 2)
-		if err != nil {
-			fail(err)
-		}
+		cfg.Benchmark = "raytrace"
+		_, trace, budget, err = tracePower(ctx, cfg, 10, 2)
 		// A core's local budget is the global budget split evenly.
-		trace, budget = coreTrace, budgetPJ/4
+		budget /= 4
 		title = "Figure 6 — per-cycle power of a core contending for a lock (raytrace)"
 	default:
-		fmt.Fprintf(os.Stderr, "unknown trace %q\n", *exp)
-		os.Exit(2)
+		return nil, 0, "", cli.Usage(fmt.Errorf("unknown trace %q", exp))
 	}
-
-	if *csv {
-		fmt.Println("sample,power_pj,budget_pj")
-		for i, v := range trace {
-			fmt.Printf("%d,%.1f,%.1f\n", i, v, budget)
-		}
-		return
-	}
-	fmt.Println(title)
-	chart(trace, budget, *width)
+	return trace, budget, title, err
 }
 
 // tracePower runs cfg with a MemoryObserver sampling every `every` cycles
@@ -120,20 +106,11 @@ func tracePower(ctx context.Context, cfg ptbsim.Config, every int64, core int) (
 	return chip, coreTrace, res.BudgetPJ, nil
 }
 
-func fail(err error) {
-	if errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "ptbtrace: interrupted")
-		os.Exit(130)
-	}
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
-}
-
 // chart draws the trace as rows of a horizontal ASCII plot, marking the
 // budget line.
-func chart(trace []float64, budget float64, width int) {
+func chart(w io.Writer, trace []float64, budget float64, width int) {
 	if len(trace) == 0 {
-		fmt.Println("(empty trace)")
+		fmt.Fprintln(w, "(empty trace)")
 		return
 	}
 	maxV := budget
@@ -146,7 +123,7 @@ func chart(trace []float64, budget float64, width int) {
 	rows := 48
 	per := (len(trace) + rows - 1) / rows
 	budgetCol := int(budget / maxV * float64(width-1))
-	fmt.Printf("budget = %.0f pJ/cycle (column marked '|'), peak sample = %.0f\n", budget, maxV)
+	fmt.Fprintf(w, "budget = %.0f pJ/cycle (column marked '|'), peak sample = %.0f\n", budget, maxV)
 	for i := 0; i < len(trace); i += per {
 		end := i + per
 		if end > len(trace) {
@@ -169,6 +146,6 @@ func chart(trace []float64, budget float64, width int) {
 				line[budgetCol] = '|'
 			}
 		}
-		fmt.Printf("%6d %s %.0f\n", i, string(line), avg)
+		fmt.Fprintf(w, "%6d %s %.0f\n", i, string(line), avg)
 	}
 }

@@ -33,10 +33,9 @@ var (
 	ErrBadPolicy = ErrUnknownPolicy
 )
 
-// ErrRunDeadline marks a run that exceeded the experiment's per-run
-// deadline (WithRunTimeout). Deadline misses are treated as transient:
-// the experiment retries them with exponential backoff up to WithRetries
-// before reporting the error.
+// ErrRunDeadline marks a submitted run that exceeded its per-submission
+// deadline (SubmitOptions.Timeout; ptbserve's timeout_ms). The run is not
+// retried: it fails with an error wrapping this sentinel.
 var ErrRunDeadline = errors.New("run exceeded per-run deadline")
 
 // ErrInvariantViolation is the sentinel wrapped by every error a

@@ -44,9 +44,6 @@ type Experiment struct {
 	faults        *FaultSpec
 	intraParallel int
 	checkpoint    *Checkpoint
-	runTimeout    time.Duration
-	retries       int
-	backoff       time.Duration
 	progress      func(Progress)
 	observer      Observer
 	obsEvery      int64
@@ -100,31 +97,6 @@ func WithInvariants() Option {
 // same configuration never share a result.
 func WithFaults(spec FaultSpec) Option {
 	return func(e *Experiment) { e.faults = &spec }
-}
-
-// WithRunTimeout bounds the wall-clock time of each individual run. A run
-// exceeding the deadline fails with an error wrapping ErrRunDeadline —
-// treated as transient and retried when WithRetries is set. d <= 0 (the
-// default) disables the per-run deadline.
-func WithRunTimeout(d time.Duration) Option {
-	return func(e *Experiment) { e.runTimeout = d }
-}
-
-// WithRetries retries a run that failed transiently (per-run deadline
-// exceeded while the caller's context was still live) up to n more times,
-// sleeping an exponentially growing backoff between attempts (see
-// WithRetryBackoff). Deterministic failures — validation errors,
-// invariant violations, caller cancellation — are never retried. n <= 0
-// (the default) disables retrying.
-func WithRetries(n int) Option {
-	return func(e *Experiment) { e.retries = n }
-}
-
-// WithRetryBackoff sets the base sleep before the first retry (default
-// 50ms), doubling per attempt. The sleep aborts immediately if the
-// caller's context ends.
-func WithRetryBackoff(d time.Duration) Option {
-	return func(e *Experiment) { e.backoff = d }
 }
 
 // WithProgress installs a streaming callback invoked once per finished
@@ -186,15 +158,12 @@ func WithObserverRing(ring int) Option {
 // NewExperiment creates an experiment engine. Without options it runs
 // paper-sized workloads (scale 1.0) on runtime.NumCPU() workers.
 func NewExperiment(opts ...Option) *Experiment {
-	e := &Experiment{parallelism: runtime.NumCPU(), backoff: 50 * time.Millisecond}
+	e := &Experiment{parallelism: runtime.NumCPU()}
 	for _, o := range opts {
 		o(e)
 	}
 	if e.parallelism < 1 {
 		e.parallelism = runtime.NumCPU()
-	}
-	if e.backoff <= 0 {
-		e.backoff = 50 * time.Millisecond
 	}
 	if e.observer != nil {
 		e.telemetry = &Telemetry{
@@ -277,44 +246,21 @@ func (e *Experiment) key(cfg Config) string {
 		cfg.PessimisticPTBLatency, cfg.PTBClusterSize, cfg.CheckInvariants, faults)
 }
 
-// execute runs one validated configuration, applying the experiment's
-// per-run deadline and transient-failure retry policy. Only deadline
-// misses are transient: an attempt whose run context expired while the
-// caller's context stayed live is retried after an exponentially growing
-// backoff, up to the configured retry budget.
-func (e *Experiment) execute(ctx context.Context, cfg Config) (*Result, error) {
-	return e.executeWith(ctx, cfg, e.runTimeout)
-}
-
-// executeWith is execute with an explicit per-run deadline (<= 0
-// disables it) — the hook for per-request timeout overrides.
-func (e *Experiment) executeWith(ctx context.Context, cfg Config, timeout time.Duration) (*Result, error) {
-	backoff := e.backoff
-	for attempt := 0; ; attempt++ {
-		runCtx, cancel := ctx, context.CancelFunc(func() {})
-		if timeout > 0 {
-			runCtx, cancel = context.WithTimeout(ctx, timeout)
-		}
-		res, err := RunContext(runCtx, cfg)
-		timedOut := errors.Is(runCtx.Err(), context.DeadlineExceeded)
-		cancel()
-		if err == nil {
-			return res, nil
-		}
-		if !timedOut || ctx.Err() != nil {
-			return nil, err // deterministic failure or caller cancellation
-		}
-		err = fmt.Errorf("ptbsim: %w (%s): %v", ErrRunDeadline, timeout, err)
-		if attempt >= e.retries {
-			return nil, err
-		}
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		backoff *= 2
+// execute runs one validated configuration. A timeout > 0 bounds its
+// wall-clock time: a run still going at the deadline fails with an error
+// wrapping ErrRunDeadline, while the caller's own cancellation stays a
+// plain cancellation.
+func (e *Experiment) execute(ctx context.Context, cfg Config, timeout time.Duration) (*Result, error) {
+	if timeout <= 0 {
+		return RunContext(ctx, cfg)
 	}
+	runCtx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	res, err := RunContext(runCtx, cfg)
+	if err != nil && ctx.Err() == nil && errors.Is(runCtx.Err(), context.DeadlineExceeded) {
+		return nil, fmt.Errorf("ptbsim: %w (%s): %v", ErrRunDeadline, timeout, err)
+	}
+	return res, err
 }
 
 // notifyLocked fans one progress event out to the WithProgress callback
@@ -347,7 +293,7 @@ func (e *Experiment) Run(ctx context.Context, cfg Config) (*Result, error) {
 	fresh := false
 	res, err := e.eng.Do(ctx, e.key(cfg), func(ctx context.Context) (*Result, error) {
 		fresh = true
-		return e.execute(ctx, cfg)
+		return e.execute(ctx, cfg, 0)
 	})
 	e.emit(Progress{Config: cfg, Result: res, Err: err, Cached: err == nil && !fresh, Done: 1, Total: 1})
 	if err != nil {
@@ -417,11 +363,11 @@ func (e *SweepError) Unwrap() []error {
 // simulation (both slots get the shared result).
 //
 // Sweeps are partial-result: one configuration failing — validation,
-// invariant violation, deadline past the retry budget — does not stop the
-// others, and every completable slot holds its result on return. Failed
-// slots are nil, and the error is a *SweepError listing each failure with
-// its index and configuration; it unwraps to all of them, so errors.Is
-// still answers "did anything fail that way". Only the caller's context
+// invariant violation — does not stop the others, and every completable
+// slot holds its result on return. Failed slots are nil, and the error is
+// a *SweepError listing each failure with its index and configuration; it
+// unwraps to all of them, so errors.Is still answers "did anything fail
+// that way". Only the caller's context
 // ends a sweep early (undispatched slots then fail with ctx.Err(), and
 // the returned error wraps it).
 func (e *Experiment) RunAll(ctx context.Context, cfgs []Config) ([]*Result, error) {
@@ -443,7 +389,7 @@ func (e *Experiment) RunAll(ctx context.Context, cfgs []Config) ([]*Result, erro
 			Key: e.key(cfg),
 			Run: func(ctx context.Context) (*Result, error) {
 				fresh[i] = true
-				return e.execute(ctx, cfg)
+				return e.execute(ctx, cfg, 0)
 			},
 		})
 		jobIdx = append(jobIdx, i)

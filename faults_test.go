@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"ptbsim"
 )
@@ -200,51 +199,6 @@ func TestSweepPartialResults(t *testing.T) {
 	}
 	if results[1] != nil {
 		t.Fatal("failed slot must be nil")
-	}
-}
-
-// TestRunDeadlineRetry checks the per-run deadline: a run that cannot
-// finish inside WithRunTimeout is retried with backoff and ultimately fails
-// with an error wrapping ErrRunDeadline — while a generous deadline leaves
-// the run untouched.
-func TestRunDeadlineRetry(t *testing.T) {
-	cfg := ptbsim.Config{Benchmark: "ocean", Cores: 4, Technique: ptbsim.PTB, Policy: ptbsim.Dynamic}
-
-	e := ptbsim.NewExperiment(
-		ptbsim.WithScale(0.25),
-		ptbsim.WithRunTimeout(time.Microsecond),
-		ptbsim.WithRetries(2),
-		ptbsim.WithRetryBackoff(time.Millisecond),
-	)
-	_, err := e.Run(context.Background(), cfg)
-	if !errors.Is(err, ptbsim.ErrRunDeadline) {
-		t.Fatalf("1µs deadline: error %v does not wrap ErrRunDeadline", err)
-	}
-
-	ok := ptbsim.NewExperiment(ptbsim.WithScale(0.05), ptbsim.WithRunTimeout(time.Minute))
-	if _, err := ok.Run(context.Background(), cfg); err != nil {
-		t.Fatalf("generous deadline failed a healthy run: %v", err)
-	}
-}
-
-// TestRunDeadlineInSweep checks deadline failures surface through the
-// partial-result sweep as typed per-config errors wrapping ErrRunDeadline.
-func TestRunDeadlineInSweep(t *testing.T) {
-	e := ptbsim.NewExperiment(
-		ptbsim.WithScale(0.25),
-		ptbsim.WithRunTimeout(time.Microsecond),
-		ptbsim.WithRetries(0),
-	)
-	cfgs := []ptbsim.Config{
-		{Benchmark: "ocean", Cores: 4, Technique: ptbsim.PTB, Policy: ptbsim.Dynamic},
-	}
-	results, err := e.RunAll(context.Background(), cfgs)
-	var sweepErr *ptbsim.SweepError
-	if !errors.As(err, &sweepErr) || !errors.Is(err, ptbsim.ErrRunDeadline) {
-		t.Fatalf("want *SweepError wrapping ErrRunDeadline, got %v", err)
-	}
-	if results[0] != nil {
-		t.Fatal("deadline-failed slot must be nil")
 	}
 }
 

@@ -3,11 +3,8 @@ package metrics
 import "ptbsim/internal/ckpt"
 
 // HashState folds the collector's accumulated statistics into h for
-// checkpoint digests. The optional power trace is excluded: TraceEvery
-// is not part of the stable config wire schema, so a resumed run may
-// legitimately trace differently — everything that reaches Result
-// digests is covered by the accumulators below. The field order is
-// append-only.
+// checkpoint digests: everything that reaches Result digests is covered
+// by the accumulators below. The field order is append-only.
 func (c *Collector) HashState(h *ckpt.Hasher) {
 	h.WriteI64(c.cycles)
 	h.WriteF64(c.chipEnergyPJ)

@@ -34,20 +34,15 @@ type Collector struct {
 	classCycles [isa.NumSyncClasses]int64
 	classEnergy [isa.NumSyncClasses]float64
 
-	// optional per-cycle chip power trace (pJ/cycle), subsampled.
-	trace       []float64
-	traceEvery  int64
 	perCoreLast []float64
 }
 
 // NewCollector creates a collector. budgetPJ is the global per-cycle energy
-// budget in picojoules (pass 0 when no budget applies). traceEvery > 0
-// records the chip cycle energy every traceEvery cycles.
-func NewCollector(nCores int, budgetPJ float64, traceEvery int64) *Collector {
+// budget in picojoules (pass 0 when no budget applies).
+func NewCollector(nCores int, budgetPJ float64) *Collector {
 	return &Collector{
 		nCores:      nCores,
 		budgetPJ:    budgetPJ,
-		traceEvery:  traceEvery,
 		perCoreLast: make([]float64, nCores),
 	}
 }
@@ -70,9 +65,6 @@ func (c *Collector) Record(perCorePJ []float64, classes []isa.SyncClass) {
 	if c.budgetPJ > 0 && chip > c.budgetPJ {
 		c.aopbPJ += chip - c.budgetPJ
 		c.overCycles++
-	}
-	if c.traceEvery > 0 && c.cycles%c.traceEvery == 0 {
-		c.trace = append(c.trace, chip)
 	}
 }
 
@@ -145,16 +137,6 @@ func (c *Collector) SpinEnergyFrac() float64 {
 	spin := c.classEnergy[isa.SyncLockAcq] + c.classEnergy[isa.SyncLockRel] +
 		c.classEnergy[isa.SyncBarrier]
 	return spin / c.chipEnergyPJ
-}
-
-// Trace returns the recorded chip power samples (pJ/cycle). The returned
-// slice is a copy: results built on a collector are shared across cached
-// callers, so handing out the live internal slice would let one caller's
-// mutation corrupt every other's trace.
-func (c *Collector) Trace() []float64 {
-	out := make([]float64, len(c.trace))
-	copy(out, c.trace)
-	return out
 }
 
 // ClassCycles returns the cumulative chip-wide core-cycles recorded per

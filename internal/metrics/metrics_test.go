@@ -9,7 +9,7 @@ import (
 )
 
 func TestAoPBIntegration(t *testing.T) {
-	c := NewCollector(2, 100, 0)
+	c := NewCollector(2, 100)
 	busy := []isa.SyncClass{isa.SyncBusy, isa.SyncBusy}
 	// Cycle 1: 120 pJ total → 20 over. Cycle 2: 80 → 0 over.
 	c.Record([]float64{70, 50}, busy)
@@ -28,7 +28,7 @@ func TestAoPBIntegration(t *testing.T) {
 }
 
 func TestAoPBDisabled(t *testing.T) {
-	c := NewCollector(1, 0, 0)
+	c := NewCollector(1, 0)
 	c.Record([]float64{1000}, []isa.SyncClass{isa.SyncBusy})
 	if c.AoPBJ() != 0 {
 		t.Fatal("AoPB tracked without a budget")
@@ -36,7 +36,7 @@ func TestAoPBDisabled(t *testing.T) {
 }
 
 func TestClassBreakdown(t *testing.T) {
-	c := NewCollector(2, 0, 0)
+	c := NewCollector(2, 0)
 	c.Record([]float64{10, 10}, []isa.SyncClass{isa.SyncBusy, isa.SyncBarrier})
 	c.Record([]float64{10, 10}, []isa.SyncClass{isa.SyncLockAcq, isa.SyncBarrier})
 	f := c.ClassCycleFrac()
@@ -46,7 +46,7 @@ func TestClassBreakdown(t *testing.T) {
 }
 
 func TestSpinEnergyFrac(t *testing.T) {
-	c := NewCollector(2, 0, 0)
+	c := NewCollector(2, 0)
 	c.Record([]float64{30, 10}, []isa.SyncClass{isa.SyncBusy, isa.SyncBarrier})
 	if got := c.SpinEnergyFrac(); math.Abs(got-0.25) > 1e-12 {
 		t.Fatalf("spin energy fraction = %v, want 0.25", got)
@@ -54,7 +54,7 @@ func TestSpinEnergyFrac(t *testing.T) {
 }
 
 func TestPowerStats(t *testing.T) {
-	c := NewCollector(1, 0, 0)
+	c := NewCollector(1, 0)
 	for i := 0; i < 100; i++ {
 		c.Record([]float64{300}, []isa.SyncClass{isa.SyncBusy})
 	}
@@ -64,28 +64,6 @@ func TestPowerStats(t *testing.T) {
 	}
 	if got := c.StdPowerW(); got > 1e-9 {
 		t.Fatalf("constant power should have zero std, got %v", got)
-	}
-}
-
-func TestTraceSubsampling(t *testing.T) {
-	c := NewCollector(1, 0, 10)
-	for i := 0; i < 100; i++ {
-		c.Record([]float64{float64(i)}, []isa.SyncClass{isa.SyncBusy})
-	}
-	if len(c.Trace()) != 10 {
-		t.Fatalf("trace has %d samples, want 10", len(c.Trace()))
-	}
-}
-
-func TestTraceReturnsCopy(t *testing.T) {
-	c := NewCollector(1, 0, 1)
-	for i := 0; i < 5; i++ {
-		c.Record([]float64{float64(i)}, []isa.SyncClass{isa.SyncBusy})
-	}
-	first := c.Trace()
-	first[0] = -1
-	if got := c.Trace()[0]; got != 0 {
-		t.Fatalf("mutating a returned trace corrupted the collector: trace[0] = %v", got)
 	}
 }
 
@@ -126,7 +104,7 @@ func TestMeanStd(t *testing.T) {
 
 func TestAoPBNonNegativeProperty(t *testing.T) {
 	f := func(vals []uint16, budget uint16) bool {
-		c := NewCollector(1, float64(budget), 0)
+		c := NewCollector(1, float64(budget))
 		for _, v := range vals {
 			c.Record([]float64{float64(v)}, []isa.SyncClass{isa.SyncBusy})
 		}
@@ -153,7 +131,7 @@ func TestEDPAndED2P(t *testing.T) {
 }
 
 func TestClassAvgPJ(t *testing.T) {
-	c := NewCollector(2, 0, 0)
+	c := NewCollector(2, 0)
 	c.Record([]float64{100, 20}, []isa.SyncClass{isa.SyncBusy, isa.SyncBarrier})
 	c.Record([]float64{200, 40}, []isa.SyncClass{isa.SyncBusy, isa.SyncBarrier})
 	avg := c.ClassAvgPJ()

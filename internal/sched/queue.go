@@ -182,11 +182,9 @@ func (s *Scheduler[V]) Submit(ctx context.Context, job Job[V]) (*Ticket[V], erro
 		t := &Ticket[V]{key: job.Key, fl: fl, cached: true}
 		t.state.Store(int32(StateDone))
 		fl.resolve()
-		ev := t.event()
 		if job.OnDone != nil {
-			job.OnDone(ev)
+			job.OnDone(t.event())
 		}
-		s.emit(ev)
 		return t, nil
 	}
 	if fl, ok := s.inflight[job.Key]; ok {
@@ -259,7 +257,6 @@ func (s *Scheduler[V]) worker() {
 		t.fl.val, t.fl.err, t.fl.retried = s.runProtected(s.baseCtx, t.key, it.run)
 
 		s.finish(t.key, t.fl)
-		s.emit(Event[V]{Key: t.key, Value: t.fl.val, Err: t.fl.err, Retried: t.fl.retried})
 
 		s.mu.Lock()
 		s.running--
@@ -275,8 +272,8 @@ func (s *Scheduler[V]) worker() {
 // waits until every job already accepted (queued or running) has
 // finished, or ctx ends. On a clean drain the worker pool shuts down and
 // Drain returns nil; on ctx expiry the remaining work keeps running and
-// Drain returns the ctx error. Do/ForEach are unaffected: they execute on
-// their callers' goroutines. Drain is idempotent.
+// Drain returns the ctx error. Do/ForEachAll are unaffected: they
+// execute on their callers' goroutines. Drain is idempotent.
 func (s *Scheduler[V]) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true

@@ -7,7 +7,7 @@
 //     share one contract;
 //   - single-flight deduplication — concurrent requests for the same key
 //     coalesce onto one in-flight run instead of computing it twice,
-//     whether they arrive through Do, ForEach or Submit;
+//     whether they arrive through Do, ForEachAll or Submit;
 //   - a bounded priority queue — Submit enqueues work for a persistent
 //     worker pool, returning a Ticket with typed states and a
 //     context-aware Await; a full queue rejects with ErrQueueFull
@@ -18,7 +18,7 @@
 //     stop dispatching;
 //   - per-run panic recovery — a panicking job is retried once (transient
 //     corruption) and surfaces as a *PanicError if it panics again;
-//   - streaming events — one callback per completed request, carrying the
+//   - completion events — a submission's OnDone callback receives the
 //     value, coalescing/caching provenance and any error.
 //
 // The scheduler is generic over the job result type; the simulator layers
@@ -120,8 +120,8 @@ func (c *MemCache[V]) Len() int {
 	return len(c.m)
 }
 
-// Event describes one completed request, streamed to the scheduler's
-// event callback and to per-submission OnDone callbacks.
+// Event describes one resolved submission, delivered to its Job.OnDone
+// callback.
 type Event[V any] struct {
 	// Key identifies the job.
 	Key string
@@ -165,18 +165,20 @@ func (fl *flight[V]) subscribe(fn func()) {
 	fl.mu.Unlock()
 }
 
-// resolve publishes the flight's outcome: it closes done and fires every
-// subscription exactly once.
+// resolve publishes the flight's outcome: it fires every subscription
+// exactly once, then closes done. Subscriptions run first so that a
+// waiter released by done sees its ticket's final state and its OnDone
+// event already delivered.
 func (fl *flight[V]) resolve() {
 	fl.mu.Lock()
 	fl.resolved = true
 	subs := fl.subs
 	fl.subs = nil
 	fl.mu.Unlock()
-	close(fl.done)
 	for _, fn := range subs {
 		fn()
 	}
+	close(fl.done)
 }
 
 // Option configures a Scheduler at construction.
@@ -201,7 +203,6 @@ func WithQueueCap[V any](n int) Option[V] {
 type Scheduler[V any] struct {
 	workers  int
 	queueCap int
-	onEvent  func(Event[V])
 	cache    Cache[V]
 
 	mu       sync.Mutex
@@ -243,24 +244,6 @@ func New[V any](workers int, opts ...Option[V]) *Scheduler[V] {
 // Workers reports the pool size.
 func (s *Scheduler[V]) Workers() int { return s.workers }
 
-// SetEventFunc installs the streaming callback. Events are delivered
-// synchronously from whichever goroutine completes a request; fn must be
-// safe for concurrent use (or do its own locking).
-func (s *Scheduler[V]) SetEventFunc(fn func(Event[V])) {
-	s.mu.Lock()
-	s.onEvent = fn
-	s.mu.Unlock()
-}
-
-func (s *Scheduler[V]) emit(ev Event[V]) {
-	s.mu.Lock()
-	fn := s.onEvent
-	s.mu.Unlock()
-	if fn != nil {
-		fn(ev)
-	}
-}
-
 // Cached reports the cached value for key, if any.
 func (s *Scheduler[V]) Cached(key string) (V, bool) {
 	return s.cache.Get(key)
@@ -286,7 +269,6 @@ func (s *Scheduler[V]) Do(ctx context.Context, key string, fn func(context.Conte
 	s.mu.Lock()
 	if v, ok := s.cache.Get(key); ok {
 		s.mu.Unlock()
-		s.emit(Event[V]{Key: key, Value: v, Cached: true})
 		return v, nil
 	}
 	if fl, ok := s.inflight[key]; ok {
@@ -300,7 +282,6 @@ func (s *Scheduler[V]) Do(ctx context.Context, key string, fn func(context.Conte
 	fl.val, fl.err, fl.retried = s.runProtected(ctx, key, fn)
 
 	s.finish(key, fl)
-	s.emit(Event[V]{Key: key, Value: fl.val, Err: fl.err, Retried: fl.retried})
 	return fl.val, fl.err
 }
 
@@ -334,7 +315,6 @@ func (s *Scheduler[V]) await(ctx context.Context, key string, fl *flight[V]) (V,
 			return zero, &CanceledError{Key: key, Err: ctx.Err()}
 		}
 	}
-	s.emit(Event[V]{Key: key, Value: fl.val, Err: fl.err, Coalesced: true, Retried: fl.retried})
 	return fl.val, fl.err
 }
 
@@ -361,90 +341,26 @@ func attempt[V any](ctx context.Context, key string, fn func(context.Context) (V
 	return v, err, nil
 }
 
-// Job is one keyed unit of work for ForEach and Submit.
+// Job is one keyed unit of work for ForEachAll and Submit.
 type Job[V any] struct {
 	// Key identifies the job for caching and deduplication.
 	Key string
 	// Run computes the result.
 	Run func(context.Context) (V, error)
 	// Priority orders Submitted jobs: higher runs sooner; equal
-	// priorities run in submission order. Ignored by ForEach.
+	// priorities run in submission order. Ignored by ForEachAll.
 	Priority int
 	// OnDone, when non-nil, is invoked exactly once when this submission
 	// resolves — with Cached or Coalesced set when the result came from
 	// the cache or another caller's run. It runs on whichever goroutine
 	// resolves the ticket and must be safe for concurrent use. Ignored by
-	// ForEach (use onDone there).
+	// ForEachAll (use its onDone argument there).
 	OnDone func(Event[V])
 }
 
-// ForEach runs every job through Do on at most Workers goroutines and
-// returns the results in job order. The first job error cancels the
-// remaining jobs and is returned alongside the partial results (failed or
-// skipped slots hold the zero value). Duplicate keys coalesce onto one
-// run. onDone, when non-nil, is invoked once per completed slot from
-// whichever worker finished it (it must be safe for concurrent use);
-// slots skipped after a failure get no callback.
-func (s *Scheduler[V]) ForEach(ctx context.Context, jobs []Job[V], onDone func(i int, v V, err error)) ([]V, error) {
-	results := make([]V, len(jobs))
-	if len(jobs) == 0 {
-		return results, ctx.Err()
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	s.mu.Lock()
-	workers := s.workers
-	s.mu.Unlock()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				v, err := s.Do(ctx, jobs[i].Key, jobs[i].Run)
-				if onDone != nil {
-					onDone(i, v, err)
-				}
-				if err != nil {
-					errOnce.Do(func() {
-						firstErr = fmt.Errorf("sched: job %q: %w", jobs[i].Key, err)
-						cancel()
-					})
-					continue
-				}
-				results[i] = v
-			}
-		}()
-	}
-dispatch:
-	for i := range jobs {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-	if firstErr != nil {
-		return results, firstErr
-	}
-	return results, ctx.Err()
-}
-
 // ForEachAll runs every job through Do on at most Workers goroutines and
-// returns per-slot results and errors in job order. Unlike ForEach, a job
-// error does not cancel the rest of the pool — every job still runs, so
+// returns per-slot results and errors in job order. A job error does not
+// cancel the rest of the pool — every job still runs, so
 // callers get every completable result plus the full error picture. Only
 // the caller's context stops the sweep early: slots never dispatched
 // because ctx ended hold ctx.Err() (and the zero value). onDone, when

@@ -118,23 +118,34 @@ func TestWaiterHonorsCancellation(t *testing.T) {
 
 func TestPanicRetriesOnce(t *testing.T) {
 	e := New[int](1)
-	var events []Event[int]
-	e.SetEventFunc(func(ev Event[int]) { events = append(events, ev) })
+	defer e.Close()
+	events := make(chan Event[int], 2)
 	var calls int32
-	v, err := e.Do(context.Background(), "flaky", func(context.Context) (int, error) {
-		if atomic.AddInt32(&calls, 1) == 1 {
-			panic("transient")
-		}
-		return 9, nil
+	tk, err := e.Submit(context.Background(), Job[int]{
+		Key: "flaky",
+		Run: func(context.Context) (int, error) {
+			if atomic.AddInt32(&calls, 1) == 1 {
+				panic("transient")
+			}
+			return 9, nil
+		},
+		OnDone: func(ev Event[int]) { events <- ev },
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := tk.Await(context.Background())
 	if err != nil || v != 9 {
-		t.Fatalf("Do = %d, %v", v, err)
+		t.Fatalf("Await = %d, %v", v, err)
 	}
 	if calls != 2 {
 		t.Fatalf("fn ran %d times, want 2", calls)
 	}
-	if len(events) != 1 || !events[0].Retried {
-		t.Fatalf("events = %+v, want one retried event", events)
+	if ev := <-events; !ev.Retried || ev.Value != 9 {
+		t.Fatalf("event = %+v, want a retried event carrying 9", ev)
+	}
+	if len(events) != 0 {
+		t.Fatalf("%d extra events, want exactly one", len(events))
 	}
 }
 
@@ -166,9 +177,11 @@ func TestForEachRunsAllAndDedups(t *testing.T) {
 			},
 		}
 	}
-	out, err := e.ForEach(context.Background(), jobs, nil)
-	if err != nil {
-		t.Fatal(err)
+	out, errs := e.ForEachAll(context.Background(), jobs, nil)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
 	}
 	for i, v := range out {
 		if v != i%5 {
@@ -203,42 +216,14 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 			},
 		}
 	}
-	if _, err := e.ForEach(context.Background(), jobs, nil); err != nil {
-		t.Fatal(err)
+	_, errs := e.ForEachAll(context.Background(), jobs, nil)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
 	}
 	if peak > workers {
 		t.Fatalf("observed %d concurrent jobs, pool bound is %d", peak, workers)
-	}
-}
-
-func TestForEachStopsOnError(t *testing.T) {
-	e := New[int](2)
-	boom := errors.New("boom")
-	var after int32
-	jobs := make([]Job[int], 50)
-	for i := range jobs {
-		i := i
-		jobs[i] = Job[int]{
-			Key: fmt.Sprint(i),
-			Run: func(ctx context.Context) (int, error) {
-				if i == 3 {
-					return 0, boom
-				}
-				if i > 10 {
-					atomic.AddInt32(&after, 1)
-				}
-				return i, nil
-			},
-		}
-	}
-	_, err := e.ForEach(context.Background(), jobs, nil)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	// The pool must stop dispatching shortly after the failure; with 2
-	// workers at most a handful of later jobs can already be in flight.
-	if after > 10 {
-		t.Fatalf("%d jobs ran after the failure — pool did not stop", after)
 	}
 }
 
@@ -246,8 +231,15 @@ func TestForEachHonorsCancelledContext(t *testing.T) {
 	e := New[int](2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := e.ForEach(ctx, []Job[int]{{Key: "a", Run: func(context.Context) (int, error) { return 1, nil }}}, nil)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	var ran int32
+	_, errs := e.ForEachAll(ctx, []Job[int]{{Key: "a", Run: func(context.Context) (int, error) {
+		atomic.AddInt32(&ran, 1)
+		return 1, nil
+	}}}, nil)
+	if !errors.Is(errs[0], context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", errs[0])
+	}
+	if ran != 0 {
+		t.Fatal("a job ran under a cancelled context")
 	}
 }

@@ -66,12 +66,6 @@ type Config struct {
 	WorkloadScale float64
 	// MaxCycles is a safety cap (default 50M).
 	MaxCycles int64
-	// TraceEvery records the chip power every N cycles (0 = off).
-	TraceEvery int64
-	// TraceCore records one core's per-cycle power at the same rate (pass
-	// a negative value to disable; the core trace is only collected when
-	// TraceEvery is set). Used for the Fig. 5/6 traces.
-	TraceCore int
 	// PTBLatency overrides the balancer latency (pessimistic experiment).
 	PTBLatency *core.Latency
 
@@ -190,9 +184,8 @@ type System struct {
 	obs    *obs.Recorder      // nil unless Config.Observe
 	obsGov *dvfs.Governor     // mode-residency source; nil when no governor
 
-	perCore   []float64
-	classes   []isa.SyncClass
-	coreTrace []float64
+	perCore []float64
+	classes []isa.SyncClass
 
 	cycle      int64
 	peakPJ     float64
@@ -309,7 +302,7 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("sim: unknown technique %q", cfg.Technique)
 	}
 
-	s.col = metrics.NewCollector(n, globalBudget, cfg.TraceEvery)
+	s.col = metrics.NewCollector(n, globalBudget)
 	s.therm = thermal.New(n, metrics.CycleSeconds)
 	s.perCore = make([]float64, n)
 	s.classes = make([]isa.SyncClass, n)
@@ -518,27 +511,18 @@ func (s *System) governors() []*dvfs.Governor {
 	return out
 }
 
+// CoreCounts are the CMP sizes evaluated in the paper.
+func CoreCounts() []int { return []int{2, 4, 8, 16} }
+
 // GlobalBudgetPJ returns the per-cycle budget in picojoules.
 func (s *System) GlobalBudgetPJ() float64 { return s.cfg.BudgetFrac * s.peakPJ }
-
-// PeakPJ returns the chip peak per-cycle energy.
-func (s *System) PeakPJ() float64 { return s.peakPJ }
-
-// Collector exposes the metrics collector (for traces).
-func (s *System) Collector() *metrics.Collector { return s.col }
 
 // Balancer returns the PTB balancer, or nil for other techniques.
 func (s *System) Balancer() *core.Balancer { return s.bal }
 
-// Sync exposes the synchronization table.
-func (s *System) Sync() *syncprim.Table { return s.sync }
-
 // Invariants returns the invariant checker, or nil when Config.Invariants
 // is off.
 func (s *System) Invariants() *invariant.Checker { return s.inv }
-
-// CoreTrace returns the per-cycle power samples of Config.TraceCore.
-func (s *System) CoreTrace() []float64 { return s.coreTrace }
 
 // Telemetry returns the epoch-sampled telemetry recorder, or nil when
 // Config.Observe is off.
@@ -632,9 +616,6 @@ func (s *System) Step() {
 	}
 	s.col.Record(s.perCore, s.classes)
 	s.therm.Record(s.perCore)
-	if s.cfg.TraceCore >= 0 && s.cfg.TraceEvery > 0 && s.cycle%s.cfg.TraceEvery == 0 {
-		s.coreTrace = append(s.coreTrace, s.perCore[s.cfg.TraceCore])
-	}
 	if s.obs != nil {
 		s.obs.Tick(s.cycle)
 	}
@@ -728,7 +709,7 @@ func (s *System) runFrom(ctx context.Context, resumed bool) (*metrics.RunResult,
 	return s.result(), nil
 }
 
-// RunCycles advances at most n cycles (for trace tooling); it stops early
+// RunCycles advances at most n cycles (for step benchmarks); it stops early
 // if the workload completes and reports whether it did.
 func (s *System) RunCycles(n int64) bool {
 	for i := int64(0); i < n; i++ {

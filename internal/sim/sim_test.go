@@ -6,6 +6,7 @@ import (
 
 	"ptbsim/internal/core"
 	"ptbsim/internal/metrics"
+	"ptbsim/internal/obs"
 	"ptbsim/internal/workload"
 )
 
@@ -147,18 +148,20 @@ func TestDynamicPolicyUsesBoth(t *testing.T) {
 
 func TestPowerTraceCollected(t *testing.T) {
 	cfg := tiny("barnes", 2, TechNone, 0)
-	cfg.TraceEvery = 100
-	cfg.TraceCore = 1
+	cfg.Observe = &obs.Config{Every: 100, Ring: 1 << 16}
 	s, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Run()
-	if len(s.Collector().Trace()) == 0 {
-		t.Fatal("no chip trace")
+	samples := s.Telemetry().Samples()
+	if len(samples) == 0 {
+		t.Fatal("no power samples")
 	}
-	if len(s.CoreTrace()) == 0 {
-		t.Fatal("no core trace")
+	for _, smp := range samples {
+		if len(smp.CorePJ) != 2 {
+			t.Fatalf("sample at cycle %d holds %d core powers, want 2", smp.Cycle, len(smp.CorePJ))
+		}
 	}
 }
 

@@ -15,31 +15,6 @@ func TestAllBenchmarksList(t *testing.T) {
 	}
 }
 
-func TestFigTraces(t *testing.T) {
-	trace, budget := Fig5Trace(0.05)
-	if len(trace) == 0 || budget <= 0 {
-		t.Fatal("fig5 trace empty")
-	}
-	ct, local := Fig6Trace(0.05)
-	if len(ct) == 0 || local <= 0 {
-		t.Fatal("fig6 trace empty")
-	}
-	// The spinning-core trace must show clear variation (peaks + spin
-	// floor).
-	minV, maxV := ct[0], ct[0]
-	for _, v := range ct {
-		if v < minV {
-			minV = v
-		}
-		if v > maxV {
-			maxV = v
-		}
-	}
-	if maxV <= minV {
-		t.Fatal("fig6 trace is flat")
-	}
-}
-
 func TestAblationKnobsWireThrough(t *testing.T) {
 	// Sanity: the ablation knobs produce runnable systems.
 	spec, ok := workload.ByName("fft")

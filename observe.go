@@ -116,6 +116,15 @@ func (l *lockedObserver) Observe(s *Sample) {
 // "run" key holding the Config, and "result"/"cached"/"error" fields).
 // ReadTelemetry parses the format back. Safe for concurrent use; the first
 // write error latches and is reported by Err.
+//
+// The format is a stable contract, independent of the Go API. Sample
+// lines use the snake_case schema pinned on Sample's json tags. A
+// run-completion line is told apart by its "run" key, which holds the
+// Config wire form; its optional "result" is the Result wire form,
+// including the self-verifying "digest". New keys may be added, but
+// existing keys are never renamed, retyped or removed, so a stream
+// written by any release stays parseable by ReadTelemetry in every later
+// one.
 type JSONLObserver struct {
 	mu  sync.Mutex
 	enc *json.Encoder
@@ -124,10 +133,6 @@ type JSONLObserver struct {
 
 // NewJSONLObserver creates a JSONL sink writing to w. The caller owns w's
 // buffering and closing; see TelemetrySpec.Start for the managed variant.
-//
-// Deprecated: the telemetry wire formats live in ptbsim/sinks, which
-// documents their stability guarantee; use sinks.NewJSONL. This alias is
-// permanent but frozen.
 func NewJSONLObserver(w io.Writer) *JSONLObserver {
 	return &JSONLObserver{enc: json.NewEncoder(w)}
 }
@@ -175,6 +180,8 @@ func (o *JSONLObserver) Err() error {
 // sync class, then per-core pj/tokens_pj/epoch_pj/mode/class column
 // groups. All samples in one feed must share a core count — merged sweeps
 // over mixed sizes belong in the JSONL format. Safe for concurrent use.
+//
+// The column order is a stable contract: columns are only ever appended.
 type CSVObserver struct {
 	mu    sync.Mutex
 	w     *csv.Writer
@@ -184,9 +191,6 @@ type CSVObserver struct {
 
 // NewCSVObserver creates a CSV sink writing to w; see NewJSONLObserver for
 // ownership conventions.
-//
-// Deprecated: use sinks.NewCSV (see ptbsim/sinks for the wire-format
-// stability guarantee). This alias is permanent but frozen.
 func NewCSVObserver(w io.Writer) *CSVObserver {
 	return &CSVObserver{w: csv.NewWriter(w), cores: -1}
 }
@@ -309,10 +313,9 @@ func (m *MemoryObserver) Reset() {
 
 // ReadTelemetry parses a JSONL telemetry stream (the JSONLObserver format)
 // back into samples, in stream order. Run-completion records and blank
-// lines are skipped; malformed lines fail with their line number.
-//
-// Deprecated: use sinks.ReadTelemetry (see ptbsim/sinks for the
-// wire-format stability guarantee). This alias is permanent but frozen.
+// lines are skipped; malformed lines fail with their line number. It
+// reads streams written by any release (see JSONLObserver for the
+// format's stability guarantee).
 func ReadTelemetry(r io.Reader) ([]Sample, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)

@@ -237,3 +237,75 @@ func TestCSVObserverRejectsMixedCores(t *testing.T) {
 		t.Fatalf("header/row shape mismatch:\n %s\n %s", lines[0], lines[1])
 	}
 }
+
+// TestJSONLRoundTripThroughExperiment drives a real run through a JSONL
+// sink and parses the stream back with ReadTelemetry: every sample comes
+// back tagged with its run.
+func TestJSONLRoundTripThroughExperiment(t *testing.T) {
+	var buf bytes.Buffer
+	o := ptbsim.NewJSONLObserver(&buf)
+	e := ptbsim.NewExperiment(ptbsim.WithScale(0.02), ptbsim.WithObserver(256, o))
+	if _, err := e.Run(context.Background(), ptbsim.Config{
+		Benchmark: "fft", Cores: 2, Technique: ptbsim.None,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Err(); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := ptbsim.ReadTelemetry(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(samples) == 0 {
+		t.Fatal("no samples on the wire")
+	}
+	for i, s := range samples {
+		if s.Bench != "fft" || s.Cores != 2 {
+			t.Fatalf("sample %d tagged %s/%d, want fft/2", i, s.Bench, s.Cores)
+		}
+	}
+}
+
+// TestJSONLRunRecordCarriesDigest pins that run-completion records embed
+// the self-verifying result digest on the wire.
+func TestJSONLRunRecordCarriesDigest(t *testing.T) {
+	var buf bytes.Buffer
+	o := ptbsim.NewJSONLObserver(&buf)
+	e := ptbsim.NewExperiment(ptbsim.WithScale(0.02), ptbsim.WithObserver(0, o))
+	res, err := e.Run(context.Background(), ptbsim.Config{
+		Benchmark: "radix", Cores: 2, Technique: ptbsim.None,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"digest":"`+res.Digest()[:20]) {
+		t.Fatalf("run record lacks the result digest; stream:\n%s", buf.String())
+	}
+}
+
+// TestCSVHeader pins the CSV header's leading columns, which are part of
+// the wire format's append-only guarantee.
+func TestCSVHeader(t *testing.T) {
+	var buf bytes.Buffer
+	o := ptbsim.NewCSVObserver(&buf)
+	e := ptbsim.NewExperiment(ptbsim.WithScale(0.02), ptbsim.WithObserver(256, o))
+	if _, err := e.Run(context.Background(), ptbsim.Config{
+		Benchmark: "fft", Cores: 2, Technique: ptbsim.None,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Err(); err != nil {
+		t.Fatal(err)
+	}
+	header, _, ok := strings.Cut(buf.String(), "\n")
+	if !ok {
+		t.Fatal("no CSV output")
+	}
+	if !strings.HasPrefix(header, "bench,cores,tech,policy,epoch,cycle,cycles,partial,budget_pj") {
+		t.Fatalf("CSV header drifted: %s", header)
+	}
+}

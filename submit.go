@@ -139,9 +139,8 @@ type SubmitOptions struct {
 	// Priority orders the queue: higher runs sooner, equal priorities in
 	// submission order.
 	Priority int
-	// Timeout, when > 0, overrides the experiment's WithRunTimeout for
-	// this job: the run fails with an error wrapping ErrRunDeadline once
-	// the wall-clock budget is spent (still subject to WithRetries). It is
+	// Timeout, when > 0, bounds this job's wall-clock time: the run fails
+	// with an error wrapping ErrRunDeadline once the budget is spent. It is
 	// not part of the dedup identity — a submission that coalesces onto an
 	// in-flight run inherits that run's deadline.
 	Timeout time.Duration
@@ -154,15 +153,11 @@ func (e *Experiment) SubmitOpts(ctx context.Context, cfg Config, opts SubmitOpti
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	timeout := e.runTimeout
-	if opts.Timeout > 0 {
-		timeout = opts.Timeout
-	}
 	t, err := e.eng.Submit(ctx, sched.Job[*Result]{
 		Key:      e.key(cfg),
 		Priority: opts.Priority,
 		Run: func(ctx context.Context) (*Result, error) {
-			return e.executeWith(ctx, cfg, timeout)
+			return e.execute(ctx, cfg, opts.Timeout)
 		},
 		OnDone: func(ev sched.Event[*Result]) {
 			e.emit(Progress{
