@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race race-intra check chaos golden sweep-check bench bench-baseline bench-compare bench-smoke serve-smoke ckpt-conformance crash-e2e profile fuzz fmt vet loc
+.PHONY: all build test test-short race race-intra check chaos golden sweep-check bench bench-baseline bench-compare bench-smoke serve-smoke ckpt-conformance crash-e2e profile fuzz fmt vet loc bench-ab
 
 all: build test
 
@@ -80,6 +80,14 @@ bench-smoke:
 	( $(GO) test -run xxx -bench 'BenchmarkSimStep' -benchtime 3s ./internal/sim/ ; \
 	  $(GO) test -run xxx -bench 'BenchmarkFig9PolicySweep' -benchtime 1x . ) \
 	| $(GO) run ./cmd/ptbbench -compare BENCH_baseline.json -fail-over 15 -par-intra 2
+
+# Interleaved A/B run of the benchmark (perfbench) on the working tree
+# against a revision: PAIRS alternating pairs of WORKLOAD runs, a fresh
+# seed per pair, then each metric's median, quartiles and pair wins.
+PAIRS ?= 10
+WORKLOAD ?= matrix-4c
+bench-ab:
+	bash scripts/bench_ab.sh $(REV) $(PAIRS) $(WORKLOAD)
 
 # End-to-end gate for the serving layer: boot ptbserve with a store,
 # hammer it with concurrent duplicate sweeps via ptbload (single-flight

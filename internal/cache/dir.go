@@ -51,6 +51,7 @@ func (m *sharerMask) empty() bool {
 }
 
 type dirEntry struct {
+	line    uint64
 	state   dirState
 	owner   CacheID
 	sharers sharerMask
@@ -86,6 +87,9 @@ type HomeBank struct {
 	data  *l2Data
 
 	lines map[uint64]*dirEntry
+	// entries lists the directory entries in creation order (entries are
+	// never removed), so walks over them are deterministic.
+	entries []*dirEntry
 
 	// Stats.
 	getS, getX, puts, fwds, invs int64
@@ -99,7 +103,7 @@ func NewHomeBank(node int, q *eventq.Queue, meter *power.Meter, net *mesh.Mesh, 
 		meter: meter,
 		net:   net,
 		mem:   m,
-		data:  newL2Data(l2SizeBytes, l2Ways, 64),
+		data:  newL2Data(l2SizeBytes, l2Ways),
 		lines: make(map[uint64]*dirEntry),
 	}
 }
@@ -107,8 +111,9 @@ func NewHomeBank(node int, q *eventq.Queue, meter *power.Meter, net *mesh.Mesh, 
 func (h *HomeBank) entry(line uint64) *dirEntry {
 	e, ok := h.lines[line]
 	if !ok {
-		e = &dirEntry{owner: -1}
+		e = &dirEntry{line: line, owner: -1}
 		h.lines[line] = e
+		h.entries = append(h.entries, e)
 	}
 	return e
 }

@@ -24,16 +24,14 @@ func (hr *Hierarchy) HashState(h *ckpt.Hasher) {
 func (c *L1) hashState(h *ckpt.Hasher) {
 	h.WriteInt(int(c.id))
 	h.WriteU64(c.tick)
-	for _, set := range c.lines {
-		for i := range set {
-			ln := &set[i]
-			h.WriteU64(ln.tag)
-			h.WriteInt(int(ln.state))
-			h.WriteBool(ln.dirty)
-			h.WriteBool(ln.prefetched)
-			h.WriteBool(ln.pinned)
-			h.WriteU64(ln.lru)
-		}
+	for i := range c.lines {
+		ln := &c.lines[i]
+		h.WriteU64(ln.tag)
+		h.WriteInt(int(ln.state))
+		h.WriteBool(ln.dirty)
+		h.WriteBool(ln.prefetched)
+		h.WriteBool(ln.pinned)
+		h.WriteU64(ln.lru)
 	}
 	h.WriteInt(len(c.mshrs))
 	for _, line := range ckpt.SortedKeys(c.mshrs) {
@@ -98,12 +96,10 @@ func (b *HomeBank) hashState(h *ckpt.Hasher) {
 
 func (d *l2Data) hashState(h *ckpt.Hasher) {
 	h.WriteU64(d.tick)
-	for s := 0; s < d.sets; s++ {
-		for w := 0; w < d.ways; w++ {
-			h.WriteU64(d.tags[s][w])
-			h.WriteBool(d.valid[s][w])
-			h.WriteU64(d.lruTick[s][w])
-		}
+	for i := range d.tags {
+		h.WriteU64(d.tags[i])
+		h.WriteBool(d.valid[i])
+		h.WriteU64(d.lruTick[i])
 	}
 	h.WriteI64(d.hits)
 	h.WriteI64(d.misses)

@@ -1,6 +1,10 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"ptbsim/internal/ckpt"
+)
 
 // CheckDirectoryEntries verifies the structural legality of every home
 // directory entry without requiring quiescence, so the invariant layer can
@@ -15,11 +19,13 @@ import "fmt"
 //
 // The full MOESI cross-check against L1 contents (CheckInvariants) still
 // needs a quiescent point and runs once at the end of an invariant-enabled
-// run.
+// run. Entries are walked bank by bank in creation order, so the error
+// names the same line on every call.
 func (h *Hierarchy) CheckDirectoryEntries() error {
 	maxID := CacheID(2 * h.N)
 	for node, bank := range h.Banks {
-		for line, e := range bank.lines {
+		for _, e := range bank.entries {
+			line := e.line
 			switch e.state {
 			case dirUncached:
 				if !e.sharers.empty() {
@@ -46,8 +52,9 @@ func (h *Hierarchy) CheckDirectoryEntries() error {
 
 // CheckInvariants walks every cache and directory entry and verifies the
 // global MOESI invariants hold at a quiescent point (no messages in
-// flight). It returns the first violation found, or nil. Tests call it
-// after draining the event queue; it is not part of the simulation loop.
+// flight). It returns the first violation in ascending line order, or
+// nil. Tests call it after draining the event queue; it is not part of
+// the simulation loop.
 //
 // Checked invariants:
 //
@@ -66,12 +73,9 @@ func (h *Hierarchy) CheckInvariants() error {
 	}
 	holders := make(map[uint64][]holder)
 	collect := func(c *L1) {
-		for s := range c.lines {
-			for w := range c.lines[s] {
-				l := &c.lines[s][w]
-				if l.state != l1I {
-					holders[l.tag] = append(holders[l.tag], holder{c.id, l.state})
-				}
+		for i := range c.lines {
+			if l := &c.lines[i]; l.state != l1I {
+				holders[l.tag] = append(holders[l.tag], holder{c.id, l.state})
 			}
 		}
 	}
@@ -80,7 +84,8 @@ func (h *Hierarchy) CheckInvariants() error {
 		collect(h.L1I[i])
 	}
 
-	for line, hs := range holders {
+	for _, line := range ckpt.SortedKeys(holders) {
+		hs := holders[line]
 		excl := 0
 		owners := 0
 		for _, x := range hs {

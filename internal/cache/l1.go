@@ -105,9 +105,9 @@ type L1 struct {
 	// home maps a line to its home bank's mesh node.
 	home func(line uint64) int
 
-	sets    int
-	ways    int
-	lines   [][]l1Line
+	geometry
+	// lines is the set-major tag array (see geometry).
+	lines   []l1Line
 	tick    uint64
 	hitLat  int64
 	mshrs   map[uint64]*l1MSHR
@@ -128,23 +128,19 @@ type L1 struct {
 
 // NewL1 builds a 64KB-class L1. isInst selects the energy events charged.
 func NewL1(id CacheID, q *eventq.Queue, meter *power.Meter, net *mesh.Mesh, home func(uint64) int, sizeBytes, ways int, isInst bool) *L1 {
-	sets := sizeBytes / (ways * 64)
+	g := newGeometry(sizeBytes, ways)
 	c := &L1{
-		id:      id,
-		q:       q,
-		meter:   meter,
-		net:     net,
-		home:    home,
-		sets:    sets,
-		ways:    ways,
-		hitLat:  1,
-		mshrs:   make(map[uint64]*l1MSHR),
-		maxMSHR: DefaultMSHRs,
-		wb:      make(map[uint64]*wbEntry),
-	}
-	c.lines = make([][]l1Line, sets)
-	for i := range c.lines {
-		c.lines[i] = make([]l1Line, ways)
+		id:       id,
+		q:        q,
+		meter:    meter,
+		net:      net,
+		home:     home,
+		geometry: g,
+		lines:    make([]l1Line, g.sets*g.ways),
+		hitLat:   1,
+		mshrs:    make(map[uint64]*l1MSHR),
+		maxMSHR:  DefaultMSHRs,
+		wb:       make(map[uint64]*wbEntry),
 	}
 	if isInst {
 		c.readEv, c.writeEv = power.EvL1I, power.EvL1I
@@ -154,13 +150,16 @@ func NewL1(id CacheID, q *eventq.Queue, meter *power.Meter, net *mesh.Mesh, home
 	return c
 }
 
-func (c *L1) setFor(line uint64) int { return int((line / 64) % uint64(c.sets)) }
+// set returns the ways of line's set.
+func (c *L1) set(line uint64) []l1Line {
+	b := c.base(line)
+	return c.lines[b : b+c.ways]
+}
 
 func (c *L1) find(line uint64) *l1Line {
-	s := c.setFor(line)
-	for w := range c.lines[s] {
-		l := &c.lines[s][w]
-		if l.state != l1I && l.tag == line {
+	set := c.set(line)
+	for w := range set {
+		if l := &set[w]; l.state != l1I && l.tag == line {
 			return l
 		}
 	}
@@ -246,7 +245,7 @@ func (c *L1) Access(addr uint64, write bool, done func()) {
 			// Upgrade miss: invalidate the other copies. Pin the retained
 			// copy so it survives until the permissions arrive; defer the
 			// request if pinning would leave the set without victims.
-			if !l.pinned && c.pinnedIn(c.setFor(line)) >= c.ways-1 {
+			if !l.pinned && pinnedIn(c.set(line)) >= c.ways-1 {
 				c.pending = append(c.pending, retryReq{addr, write, done})
 				return
 			}
@@ -258,11 +257,11 @@ func (c *L1) Access(addr uint64, write bool, done func()) {
 	c.miss(line, write, done)
 }
 
-// pinnedIn counts pinned lines in a set.
-func (c *L1) pinnedIn(s int) int {
+// pinnedIn counts the pinned resident lines among ls.
+func pinnedIn(ls []l1Line) int {
 	n := 0
-	for w := range c.lines[s] {
-		if c.lines[s][w].state != l1I && c.lines[s][w].pinned {
+	for i := range ls {
+		if ls[i].state != l1I && ls[i].pinned {
 			n++
 		}
 	}
@@ -364,10 +363,4 @@ func (c *L1) PendingLen() int { return len(c.pending) }
 func (c *L1) WBLen() int { return len(c.wb) }
 
 // PinnedTotal counts pinned resident lines (diagnostics).
-func (c *L1) PinnedTotal() int {
-	n := 0
-	for s := range c.lines {
-		n += c.pinnedIn(s)
-	}
-	return n
-}
+func (c *L1) PinnedTotal() int { return pinnedIn(c.lines) }

@@ -150,27 +150,27 @@ func (c *L1) install(line uint64, st l1State, dirty bool) {
 		c.touch(l)
 		return
 	}
-	s := c.setFor(line)
+	set := c.set(line)
 	victim := -1
-	for w := range c.lines[s] {
-		if c.lines[s][w].state == l1I {
+	for w := range set {
+		if set[w].state == l1I {
 			victim = w
 			break
 		}
 	}
 	if victim < 0 {
-		for w := 0; w < c.ways; w++ {
-			if c.lines[s][w].pinned {
+		for w := range set {
+			if set[w].pinned {
 				continue
 			}
-			if victim < 0 || c.lines[s][w].lru < c.lines[s][victim].lru {
+			if victim < 0 || set[w].lru < set[victim].lru {
 				victim = w
 			}
 		}
-		c.evict(&c.lines[s][victim])
+		c.evict(&set[victim])
 	}
 	c.tick++
-	c.lines[s][victim] = l1Line{tag: line, state: st, dirty: dirty && st == l1M, lru: c.tick}
+	set[victim] = l1Line{tag: line, state: st, dirty: dirty && st == l1M, lru: c.tick}
 }
 
 // evict removes a resident line, sending the appropriate Put. Owned lines

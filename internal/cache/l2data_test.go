@@ -3,7 +3,7 @@ package cache
 import "testing"
 
 func TestL2DataPresence(t *testing.T) {
-	d := newL2Data(1<<20, 4, 64)
+	d := newL2Data(1<<20, 4)
 	if d.present(0x1000) {
 		t.Fatal("cold hit")
 	}
@@ -18,7 +18,7 @@ func TestL2DataPresence(t *testing.T) {
 
 func TestL2DataLRUEviction(t *testing.T) {
 	// Tiny bank: 2 sets × 2 ways.
-	d := newL2Data(2*2*64, 2, 64)
+	d := newL2Data(2*2*64, 2)
 	set0 := func(i int) uint64 { return uint64(i) * 2 * 64 } // even line index → set 0
 	d.insert(set0(0))
 	d.insert(set0(1))
@@ -39,7 +39,7 @@ func TestL2DataLRUEviction(t *testing.T) {
 }
 
 func TestL2DataReinsertRefreshes(t *testing.T) {
-	d := newL2Data(2*2*64, 2, 64)
+	d := newL2Data(2*2*64, 2)
 	a, b, c := uint64(0), uint64(2*64), uint64(4*64) // all set 0
 	d.insert(a)
 	d.insert(b)

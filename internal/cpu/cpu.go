@@ -406,14 +406,15 @@ func (c *Core) Tick() bool {
 		return false
 	}
 	c.freqAcc--
-	defer func() { c.tokenRate += (float64(c.fetchedTokens) - c.tokenRate) / 8 }()
 	if c.stallTicks > 0 {
 		c.stallTicks--
 		c.stats.StallTicks++
 		c.meter.Add(c.id, power.EvClockGated, 1)
+		c.tokenRate += (float64(c.fetchedTokens) - c.tokenRate) / 8
 		return false
 	}
 	c.step()
+	c.tokenRate += (float64(c.fetchedTokens) - c.tokenRate) / 8
 	return true
 }
 
@@ -441,9 +442,15 @@ func (c *Core) step() {
 	}
 }
 
+// entry returns the ROB slot of an in-flight seq (headSeq <= seq <
+// headSeq+count). Both head and the offset are below len(rob), so one
+// conditional subtract is the ring's modulo.
 func (c *Core) entry(seq int64) *robEntry {
-	off := seq - c.headSeq
-	return &c.rob[(c.head+int(off))%len(c.rob)]
+	i := c.head + int(seq-c.headSeq)
+	if i >= len(c.rob) {
+		i -= len(c.rob)
+	}
+	return &c.rob[i]
 }
 
 func (c *Core) effWidth(knob, def int) int {

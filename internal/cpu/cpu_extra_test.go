@@ -209,3 +209,33 @@ func TestBpredAliasingIsHarmless(t *testing.T) {
 		t.Fatalf("aliased accuracy %.2f below chance-ish threshold", acc)
 	}
 }
+
+// TestEntryMatchesModuloAcrossWrap checks the ROB ring's conditional
+// subtract against the modulo it replaces for every in-flight seq, on
+// every cycle of a run long enough to wrap the ring many times.
+func TestEntryMatchesModuloAcrossWrap(t *testing.T) {
+	r := newTestRig(aluStream(20*DefaultConfig().ROBSize, 2))
+	wraps := 0
+	for cyc := int64(1); !r.core.Done(); cyc++ {
+		if cyc > 200000 {
+			t.Fatal("core did not finish")
+		}
+		r.q.RunUntil(cyc)
+		head := r.core.head
+		r.core.Tick()
+		if r.core.head < head {
+			wraps++
+		}
+		c := r.core
+		for off := 0; off < c.count; off++ {
+			seq := c.headSeq + int64(off)
+			want := &c.rob[(c.head+off)%len(c.rob)]
+			if got := c.entry(seq); got != want || got.seq != seq {
+				t.Fatalf("cycle %d: entry(%d) holds seq %d, the modulo slot seq %d", cyc, seq, got.seq, want.seq)
+			}
+		}
+	}
+	if wraps < 10 {
+		t.Fatalf("ROB head wrapped %d times, want at least 10", wraps)
+	}
+}

@@ -46,7 +46,10 @@ func (c *Core) commit() int {
 		}
 
 		e.waiters = e.waiters[:0]
-		c.head = (c.head + 1) % len(c.rob)
+		c.head++
+		if c.head == len(c.rob) {
+			c.head = 0
+		}
 		c.headSeq++
 		c.count--
 		c.stats.Committed++
@@ -264,7 +267,10 @@ func (c *Core) dispatch() int {
 
 		seq := c.nextSeq
 		c.nextSeq++
-		idx := (c.head + c.count) % len(c.rob)
+		idx := c.head + c.count
+		if idx >= len(c.rob) {
+			idx -= len(c.rob)
+		}
 		c.count++
 		e := &c.rob[idx]
 		// Keep the entry's waiters backing array across reuse.

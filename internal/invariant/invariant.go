@@ -66,6 +66,8 @@ type check struct {
 type Checker struct {
 	epoch  int64
 	checks []check
+	// next is the first epoch boundary after the last cycle ticked.
+	next int64
 
 	viols   []Violation
 	dropped int64
@@ -97,12 +99,27 @@ func (c *Checker) RegisterFinal(name string, fn CheckFunc) {
 	c.checks = append(c.checks, check{name: name, fn: fn, finalOnly: true})
 }
 
-// Tick evaluates the epoch checks if cycle falls on an epoch boundary.
-// Safe on a nil receiver (disabled checking).
+// Tick evaluates the epoch checks if cycle falls on an epoch boundary
+// (cycle%epoch == 0). Safe on a nil receiver (disabled checking). Ticking
+// consecutive cycles costs one comparison between boundaries; any other
+// cycle sequence re-anchors on the modulo.
 func (c *Checker) Tick(cycle int64) {
-	if c == nil || cycle%c.epoch != 0 {
+	if c == nil {
 		return
 	}
+	if cycle != c.next {
+		if cycle < c.next && cycle > c.next-c.epoch {
+			return
+		}
+		if r := cycle % c.epoch; r != 0 {
+			c.next = cycle - r
+			if cycle > 0 {
+				c.next += c.epoch
+			}
+			return
+		}
+	}
+	c.next = cycle + c.epoch
 	c.run(cycle, false)
 }
 

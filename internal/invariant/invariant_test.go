@@ -133,3 +133,25 @@ func TestCloseTo(t *testing.T) {
 		}
 	}
 }
+
+// TestTickFiresOnModuloBoundaries checks the next-boundary gate against
+// cycle%epoch == 0 on consecutive cycles, forward jumps, repeats and
+// rewinds.
+func TestTickFiresOnModuloBoundaries(t *testing.T) {
+	var cs []int64
+	for c := int64(-250); c <= 1000; c++ {
+		cs = append(cs, c)
+	}
+	cs = append(cs, 1000, 1000, 1337, 1400, 1400, 1401, 5, 6, 7, 0, -7, -100, 99, 100, 101, 4096, 4095, 4097, 1<<40, 1<<40+1)
+	for _, epoch := range []int64{1, 3, 7, 64, 100} {
+		c := New(epoch)
+		c.Register("noop", func() error { return nil })
+		for _, cycle := range cs {
+			before := c.Evals()
+			c.Tick(cycle)
+			if fired, want := c.Evals() != before, cycle%epoch == 0; fired != want {
+				t.Fatalf("epoch %d cycle %d: fired=%v, want %v", epoch, cycle, fired, want)
+			}
+		}
+	}
+}

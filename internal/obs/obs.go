@@ -150,6 +150,7 @@ type Recorder struct {
 	next      int   // ring slot of the next sample
 	taken     int64 // samples emitted so far
 	lastCycle int64 // cycle of the most recent sample
+	boundary  int64 // first epoch boundary after the last cycle ticked
 
 	// Previous-snapshot state for delta fields.
 	prevPJ          []float64
@@ -205,11 +206,23 @@ func (r *Recorder) SetRun(bench string, cores int, tech, policy string, budgetPJ
 func (r *Recorder) Every() int64 { return r.every }
 
 // Tick advances the recorder to the given cycle, emitting a sample on
-// epoch boundaries. Off-boundary cycles cost one modulo.
+// epoch boundaries (cycle%every == 0). Ticking consecutive cycles costs
+// one comparison between boundaries; any other cycle sequence re-anchors
+// on the modulo.
 func (r *Recorder) Tick(cycle int64) {
-	if cycle%r.every != 0 {
-		return
+	if cycle != r.boundary {
+		if cycle < r.boundary && cycle > r.boundary-r.every {
+			return
+		}
+		if m := cycle % r.every; m != 0 {
+			r.boundary = cycle - m
+			if cycle > 0 {
+				r.boundary += r.every
+			}
+			return
+		}
 	}
+	r.boundary = cycle + r.every
 	r.sample(cycle, false)
 }
 

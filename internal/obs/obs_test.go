@@ -159,3 +159,25 @@ func TestRecorderTickZeroAlloc(t *testing.T) {
 		t.Fatalf("Tick allocates %.1f per epoch with a nil sink, want 0", allocs)
 	}
 }
+
+// TestTickSamplesOnModuloBoundaries checks the recorder's next-boundary
+// gate against cycle%every == 0 on consecutive cycles, forward jumps,
+// repeats and rewinds.
+func TestTickSamplesOnModuloBoundaries(t *testing.T) {
+	var cs []int64
+	for c := int64(-250); c <= 1000; c++ {
+		cs = append(cs, c)
+	}
+	cs = append(cs, 1000, 1000, 1337, 1400, 1400, 1401, 5, 6, 7, 0, -7, -100, 99, 100, 101, 4096, 4095, 4097, 1<<40, 1<<40+1)
+	for _, every := range []int64{1, 3, 7, 64, 100} {
+		var cycle int64
+		r := NewRecorder(Config{Every: every, Ring: 4}, 1, fillCounters(&cycle))
+		for _, cycle = range cs {
+			before := r.taken
+			r.Tick(cycle)
+			if fired, want := r.taken != before, cycle%every == 0; fired != want {
+				t.Fatalf("every %d cycle %d: sampled=%v, want %v", every, cycle, fired, want)
+			}
+		}
+	}
+}

@@ -1,0 +1,63 @@
+package sim
+
+import (
+	"encoding/hex"
+	"testing"
+
+	"ptbsim/internal/ckpt"
+	"ptbsim/internal/core"
+)
+
+// TestNewSystemAllocs bounds the heap allocations of building a 4-core
+// Table-1 system. The cache tag arrays are flat (one allocation per array,
+// not one per set), so construction cost no longer scales with the set
+// count; a per-set layout made 53,476 allocations here.
+func TestNewSystemAllocs(t *testing.T) {
+	cfg := tiny("ocean", 4, TechPTB, core.PolicyToAll)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := NewSystem(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("NewSystem: %.0f allocations", allocs)
+	if allocs > 1000 {
+		t.Fatalf("NewSystem made %.0f allocations, want <= 1000", allocs)
+	}
+}
+
+// TestMidRunHashStatePinned pins the checkpoint digests of the workload
+// generators, of the memory hierarchy (L1 lines, MSHRs, directory, L2
+// tag arrays) and of the whole system, stopped mid-run. The values were recorded
+// before the tag arrays and branch tables were flattened: snapshots
+// written by either layout must keep resuming, so the encodings may not
+// move.
+func TestMidRunHashStatePinned(t *testing.T) {
+	cfg := tiny("raytrace", 4, TechPTB, core.PolicyToAll)
+	cfg.WorkloadScale = 0.5
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.RunCycles(100_000) {
+		t.Fatal("workload finished before the snapshot cycle")
+	}
+	gen := ckpt.NewHasher()
+	for _, g := range s.gens {
+		g.HashState(gen)
+	}
+	hier := ckpt.NewHasher()
+	s.hier.HashState(hier)
+	for _, c := range []struct {
+		name string
+		sum  [32]byte
+		want string
+	}{
+		{"generators", gen.Sum(), "fcbe0e0450d1093239f0fe4c29b9dd1c02870cb3deae655fa73fc8c737bc45c1"},
+		{"hierarchy", hier.Sum(), "e78ce6b8451c07faac2d24803c4ede249fd196d2ea9c41bb98a8be8c1414724f"},
+		{"system", s.StateHash(), "7237f5629a15a1e34781c593e807324d649f7a6539f8deaff4b1c1627bf4634f"},
+	} {
+		if got := hex.EncodeToString(c.sum[:]); got != c.want {
+			t.Errorf("%s HashState = %s, want %s", c.name, got, c.want)
+		}
+	}
+}

@@ -50,13 +50,20 @@ type Generator struct {
 	curLock   int32
 	spinGen   int64
 
-	// queue holds instructions synthesized ahead of Next.
+	// queue holds instructions synthesized ahead of Next; queue[qhead:]
+	// are still pending. It is reset to empty once drained, so its backing
+	// array is reused rather than resliced away.
 	queue []isa.Inst
+	qhead int
 
 	// address cursors.
 	privCursor   uint64
 	sharedCursor uint64
 	pcCursor     int
+	// busyPC is pcCursor mod the busy code's instruction count, advanced
+	// with it.
+	busyPC  int
+	busyLen int
 
 	// mix is the cumulative instruction-mix table, one per program phase
 	// (a single implicit phase when the spec defines none).
@@ -79,8 +86,11 @@ type Generator struct {
 	// pattern (taken period-1 times, then not taken once). Real branches
 	// are predictable because they are *structured*, not because they are
 	// biased coins; a pattern is what lets the gshare predictor reach
-	// realistic accuracy.
-	branchState map[uint64]*branchPattern
+	// realistic accuracy. Branches only sit in the busy code, so the table
+	// is indexed by busy-code slot, (pc-codeBase)/4; branches counts the
+	// slots that have a pattern.
+	branchState []branchPattern
+	branches    int
 
 	// stats
 	emitted      int64
@@ -103,7 +113,9 @@ func NewGenerator(spec *Spec, table *syncprim.Table, thread, threads int) *Gener
 		rng:     xrand.New(spec.Seed*0x9E3779B97F4A7C15 + uint64(thread)*0xBF58476D1CE4E5B9 + uint64(threads)),
 		privLen: uint64(spec.PrivateKB) * 1024,
 		shLen:   uint64(spec.SharedKB) * 1024,
+		busyLen: spec.CodeLines * 16,
 	}
+	g.branchState = make([]branchPattern, g.busyLen)
 	if g.privLen == 0 {
 		g.privLen = 4096
 	}
@@ -201,9 +213,12 @@ func (g *Generator) startQuantum() {
 
 // Next implements cpu.Source.
 func (g *Generator) Next() (isa.Inst, bool) {
-	if len(g.queue) > 0 {
-		inst := g.queue[0]
-		g.queue = g.queue[1:]
+	if g.qhead < len(g.queue) {
+		inst := g.queue[g.qhead]
+		g.qhead++
+		if g.qhead == len(g.queue) {
+			g.queue, g.qhead = g.queue[:0], 0
+		}
 		g.emitted++
 		return inst, true
 	}
@@ -424,8 +439,9 @@ func (g *Generator) busyInst(class isa.SyncClass) isa.Inst {
 		}
 	}
 
-	pc := codeBase + uint64(g.pcCursor%(g.spec.CodeLines*16))*4
-	g.pcCursor++
+	slot := g.busyPC
+	pc := codeBase + uint64(slot)*4
+	g.advancePC()
 
 	inst := isa.Inst{PC: pc, Op: op, SyncClass: class}
 	inst.Dep1 = uint16(g.rng.Geometric(g.spec.DepMean))
@@ -447,45 +463,53 @@ func (g *Generator) busyInst(class isa.SyncClass) isa.Inst {
 	case isa.OpLoad, isa.OpStore:
 		inst.Addr = g.dataAddr()
 	case isa.OpBranch:
-		inst.Taken = g.branchOutcome(pc)
+		inst.Taken = g.branchOutcome(slot)
 	}
 	return inst
 }
 
-// branchPattern is one static branch's repeating loop structure.
+// advancePC moves the code cursor on by one instruction.
+func (g *Generator) advancePC() {
+	g.pcCursor++
+	g.busyPC++
+	if g.busyPC == g.busyLen {
+		g.busyPC = 0
+	}
+}
+
+// branchPattern is one static branch's repeating loop structure. A zero
+// period marks a slot whose branch has not executed yet.
 type branchPattern struct {
-	period int
-	count  int
+	period uint8
+	count  uint8
 	hard   bool
 }
 
-// branchOutcome produces the next outcome of the static branch at pc:
-// loop-patterned for most branches (learnable), random for the benchmark's
-// HardBranchFrac share (data-dependent branches the predictor cannot
-// learn).
-func (g *Generator) branchOutcome(pc uint64) bool {
-	if g.branchState == nil {
-		g.branchState = make(map[uint64]*branchPattern)
-	}
-	st, ok := g.branchState[pc]
-	if !ok {
-		st = &branchPattern{hard: g.rng.Bool(g.spec.HardBranchFrac)}
+// branchOutcome produces the next outcome of the static branch in busy-code
+// slot: loop-patterned for most branches (learnable), random for the
+// benchmark's HardBranchFrac share (data-dependent branches the predictor
+// cannot learn).
+func (g *Generator) branchOutcome(slot int) bool {
+	st := &g.branchState[slot]
+	if st.period == 0 {
+		st.hard = g.rng.Bool(g.spec.HardBranchFrac)
 		// Period derived from BranchTakenP: taken period-1 of period times
 		// averages to the benchmark's taken rate.
 		p := g.spec.BranchTakenP
 		if p >= 0.99 {
 			p = 0.99
 		}
-		st.period = int(1.0/(1.0-p) + 0.5)
-		if st.period < 2 {
-			st.period = 2
+		period := int(1.0/(1.0-p) + 0.5)
+		if period < 2 {
+			period = 2
 		}
-		if st.period > 14 {
+		if period > 14 {
 			// Keep loop periods within what 16 bits of gshare history can
 			// learn.
-			st.period = 14
+			period = 14
 		}
-		g.branchState[pc] = st
+		st.period = uint8(period)
+		g.branches++
 	}
 	if st.hard {
 		return g.rng.Bool(0.5)
@@ -501,8 +525,8 @@ func (g *Generator) branchOutcome(pc uint64) bool {
 // critInst synthesizes a critical-section instruction: mostly shared-data
 // reads and writes, which is what makes critical sections migrate lines.
 func (g *Generator) critInst() isa.Inst {
-	pc := codeBase + uint64((g.spec.CodeLines+8)*16+g.pcCursor%64)*4
-	g.pcCursor++
+	pc := codeBase + uint64((g.spec.CodeLines+8)*16+g.pcCursor&63)*4
+	g.advancePC()
 	inst := isa.Inst{PC: pc, SyncClass: isa.SyncBusy}
 	switch {
 	case g.rng.Bool(0.40):

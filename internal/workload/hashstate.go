@@ -4,9 +4,9 @@ import "ptbsim/internal/ckpt"
 
 // HashState folds one generator thread's mutable state into h for
 // checkpoint digests: the rng stream, the block machine, the address
-// cursors, and every static branch's pattern position (sorted by PC —
-// map order is randomized). Spec-derived tables are static and excluded.
-// The field order is append-only.
+// cursors, and every static branch's pattern position (in PC order).
+// Spec-derived tables are static and excluded. The field order is
+// append-only.
 func (g *Generator) HashState(h *ckpt.Hasher) {
 	h.WriteInt(g.thread)
 	h.WriteU64(g.rng.State())
@@ -15,9 +15,10 @@ func (g *Generator) HashState(h *ckpt.Hasher) {
 	h.WriteInt(g.remaining)
 	h.WriteI64(int64(g.curLock))
 	h.WriteI64(g.spinGen)
-	h.WriteInt(len(g.queue))
-	for i := range g.queue {
-		in := &g.queue[i]
+	pending := g.queue[g.qhead:]
+	h.WriteInt(len(pending))
+	for i := range pending {
+		in := &pending[i]
 		h.WriteU64(in.PC)
 		h.WriteInt(int(in.Op))
 		h.WriteU64(in.Addr)
@@ -27,12 +28,15 @@ func (g *Generator) HashState(h *ckpt.Hasher) {
 	h.WriteU64(g.sharedCursor)
 	h.WriteInt(g.pcCursor)
 	h.WriteU64(g.hotCursor)
-	h.WriteInt(len(g.branchState))
-	for _, pc := range ckpt.SortedKeys(g.branchState) {
-		st := g.branchState[pc]
-		h.WriteU64(pc)
-		h.WriteInt(st.period)
-		h.WriteInt(st.count)
+	h.WriteInt(g.branches)
+	for slot := range g.branchState {
+		st := &g.branchState[slot]
+		if st.period == 0 {
+			continue
+		}
+		h.WriteU64(codeBase + uint64(slot)*4)
+		h.WriteInt(int(st.period))
+		h.WriteInt(int(st.count))
 		h.WriteBool(st.hard)
 	}
 	h.WriteI64(g.emitted)

@@ -38,10 +38,15 @@ func (r *Rand) Uint32() uint32 {
 	return uint32(r.Uint64() >> 32)
 }
 
-// Intn returns a pseudo-random int in [0, n). It panics if n <= 0.
+// Intn returns a pseudo-random int in [0, n), Uint64() mod n. It panics
+// if n <= 0. A power-of-two n takes the low bits by mask, which is the
+// same remainder without the division.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("xrand: Intn called with n <= 0")
+	}
+	if n&(n-1) == 0 {
+		return int(r.Uint64() & uint64(n-1))
 	}
 	return int(r.Uint64() % uint64(n))
 }

@@ -145,3 +145,15 @@ func TestUint32NotConstant(t *testing.T) {
 	}
 	t.Fatal("Uint32 appears constant")
 }
+
+// TestIntnPowerOfTwoMatchesModulo checks the masked power-of-two path of
+// Intn against Uint64()%n on one seeded stream.
+func TestIntnPowerOfTwoMatchesModulo(t *testing.T) {
+	a, b := New(2024), New(2024)
+	for i := 0; i < 64*200; i++ {
+		n := 1 << (i % 63)
+		if got, want := a.Intn(n), int(b.Uint64()%uint64(n)); got != want {
+			t.Fatalf("draw %d: Intn(%d) = %d, want %d", i, n, got, want)
+		}
+	}
+}
