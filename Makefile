@@ -84,6 +84,7 @@ bench-smoke:
 # Interleaved A/B run of the benchmark (perfbench) on the working tree
 # against a revision: PAIRS alternating pairs of WORKLOAD runs, a fresh
 # seed per pair, then each metric's median, quartiles and pair wins.
+# WORKLOAD=all runs every workload BENCHMARK.json names, one summary each.
 PAIRS ?= 10
 WORKLOAD ?= matrix-4c
 bench-ab:

@@ -94,12 +94,23 @@ func (b *HomeBank) hashState(h *ckpt.Hasher) {
 	h.WriteI64(b.invs)
 }
 
+// hashState writes every set's ways in set/way order, tag, valid bit and
+// LRU tick each, and zero ways for sets never filled. That is a dense tag
+// array's encoding, which snapshots and the pinned digests depend on
+// (TestL2DataMatchesDense holds the two together).
 func (d *l2Data) hashState(h *ckpt.Hasher) {
 	h.WriteU64(d.tick)
-	for i := range d.tags {
-		h.WriteU64(d.tags[i])
-		h.WriteBool(d.valid[i])
-		h.WriteU64(d.lruTick[i])
+	var untouched l2Line
+	for _, k := range d.slot {
+		for w := 0; w < d.ways; w++ {
+			l := &untouched
+			if k != 0 {
+				l = &d.lines[int(k)-1+w]
+			}
+			h.WriteU64(l.tag)
+			h.WriteBool(l.valid())
+			h.WriteU64(l.lru)
+		}
 	}
 	h.WriteI64(d.hits)
 	h.WriteI64(d.misses)

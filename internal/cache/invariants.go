@@ -1,9 +1,9 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
-
-	"ptbsim/internal/ckpt"
+	"slices"
 )
 
 // CheckDirectoryEntries verifies the structural legality of every home
@@ -68,14 +68,15 @@ func (h *Hierarchy) CheckDirectoryEntries() error {
 //     through in-flight Puts, which quiescence excludes).
 func (h *Hierarchy) CheckInvariants() error {
 	type holder struct {
-		id CacheID
-		st l1State
+		line uint64
+		id   CacheID
+		st   l1State
 	}
-	holders := make(map[uint64][]holder)
+	var holders []holder
 	collect := func(c *L1) {
 		for i := range c.lines {
 			if l := &c.lines[i]; l.state != l1I {
-				holders[l.tag] = append(holders[l.tag], holder{c.id, l.state})
+				holders = append(holders, holder{l.tag, c.id, l.state})
 			}
 		}
 	}
@@ -83,9 +84,18 @@ func (h *Hierarchy) CheckInvariants() error {
 		collect(h.L1D[i])
 		collect(h.L1I[i])
 	}
+	// Group by line in ascending order, keeping collection order within a
+	// line.
+	slices.SortStableFunc(holders, func(a, b holder) int { return cmp.Compare(a.line, b.line) })
 
-	for _, line := range ckpt.SortedKeys(holders) {
-		hs := holders[line]
+	for len(holders) > 0 {
+		line := holders[0].line
+		n := 1
+		for n < len(holders) && holders[n].line == line {
+			n++
+		}
+		hs := holders[:n]
+		holders = holders[n:]
 		excl := 0
 		owners := 0
 		for _, x := range hs {

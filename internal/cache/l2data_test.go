@@ -1,6 +1,11 @@
 package cache
 
-import "testing"
+import (
+	"testing"
+
+	"ptbsim/internal/ckpt"
+	"ptbsim/internal/xrand"
+)
 
 func TestL2DataPresence(t *testing.T) {
 	d := newL2Data(1<<20, 4)
@@ -47,5 +52,130 @@ func TestL2DataReinsertRefreshes(t *testing.T) {
 	d.insert(c)
 	if !d.present(a) || d.present(b) {
 		t.Fatal("re-insert did not refresh LRU position")
+	}
+}
+
+// denseL2 is the L2 tag store as a dense set-major array, every set
+// allocated up front: the reference the first-touch l2Data must match.
+type denseL2 struct {
+	geometry
+	tags         []uint64
+	valid        []bool
+	lruTick      []uint64
+	tick         uint64
+	hits, misses int64
+}
+
+func newDenseL2(sizeBytes, ways int) *denseL2 {
+	g := newGeometry(sizeBytes, ways)
+	n := g.sets * g.ways
+	return &denseL2{geometry: g, tags: make([]uint64, n), valid: make([]bool, n), lruTick: make([]uint64, n)}
+}
+
+func (d *denseL2) find(line uint64) int {
+	b := d.base(line)
+	for i := b; i < b+d.ways; i++ {
+		if d.valid[i] && d.tags[i] == line {
+			return i
+		}
+	}
+	return -1
+}
+
+func (d *denseL2) present(line uint64) bool {
+	if i := d.find(line); i >= 0 {
+		d.tick++
+		d.lruTick[i] = d.tick
+		d.hits++
+		return true
+	}
+	d.misses++
+	return false
+}
+
+func (d *denseL2) insert(line uint64) {
+	if i := d.find(line); i >= 0 {
+		d.tick++
+		d.lruTick[i] = d.tick
+		return
+	}
+	b := d.base(line)
+	victim := b
+	for i := b + 1; i < b+d.ways; i++ {
+		if !d.valid[i] {
+			victim = i
+			break
+		}
+		if d.lruTick[i] < d.lruTick[victim] {
+			victim = i
+		}
+	}
+	d.tick++
+	d.tags[victim] = line
+	d.valid[victim] = true
+	d.lruTick[victim] = d.tick
+}
+
+func (d *denseL2) hashState(h *ckpt.Hasher) {
+	h.WriteU64(d.tick)
+	for i := range d.tags {
+		h.WriteU64(d.tags[i])
+		h.WriteBool(d.valid[i])
+		h.WriteU64(d.lruTick[i])
+	}
+	h.WriteI64(d.hits)
+	h.WriteI64(d.misses)
+}
+
+// TestL2DataMatchesDense drives the first-touch tag store and the dense
+// reference with one seeded line stream, on a power-of-two (4,096-set) and
+// a non-power-of-two (3,072-set) bank. Most lines fall in a few hot sets,
+// six to eight candidates each, so ways conflict and evict; the rest are
+// scattered cold lines. Every probe must agree, and so must the hit and
+// miss counts and the hashState digest, checked along the way and at the
+// end.
+func TestL2DataMatchesDense(t *testing.T) {
+	for _, size := range []int{1 << 20, 768 << 10} {
+		got, want := newL2Data(size, 4), newDenseL2(size, 4)
+		sets := uint64(got.sets)
+		rng := xrand.New(uint64(size))
+		hot := make([]uint64, 12)
+		for i := range hot {
+			hot[i] = uint64(rng.Intn(int(sets)))
+		}
+		for i := 0; i < 200_000; i++ {
+			var line uint64
+			if rng.Bool(0.9) {
+				set := hot[rng.Intn(len(hot))]
+				line = (set + uint64(rng.Intn(8))*sets) * 64
+			} else {
+				line = rng.Uint64() &^ 63
+			}
+			if g, w := got.present(line), want.present(line); g != w {
+				t.Fatalf("%d sets, op %d: present(%#x) = %v, dense %v", sets, i, line, g, w)
+			}
+			if rng.Bool(0.6) {
+				got.insert(line)
+				want.insert(line)
+			}
+			if i%50_000 == 0 || i == 199_999 {
+				if got.Hits() != want.hits || got.Misses() != want.misses {
+					t.Fatalf("%d sets, op %d: hits/misses %d/%d, dense %d/%d",
+						sets, i, got.Hits(), got.Misses(), want.hits, want.misses)
+				}
+				hg, hw := ckpt.NewHasher(), ckpt.NewHasher()
+				got.hashState(hg)
+				want.hashState(hw)
+				if hg.Sum() != hw.Sum() {
+					t.Fatalf("%d sets, op %d: hashState differs from the dense encoding", sets, i)
+				}
+			}
+		}
+		if got.Hits() == 0 || got.Misses() == 0 {
+			t.Fatalf("%d sets: stream gave %d hits, %d misses; want both", sets, got.Hits(), got.Misses())
+		}
+		if touched := len(got.lines) / got.ways; touched >= got.sets {
+			t.Fatalf("%d sets: %d touched, want a fraction", sets, touched)
+		}
 	}
 }

@@ -2,14 +2,16 @@ package cpu
 
 import "ptbsim/internal/power"
 
-// gshare is the branch predictor of Table 1: a 64KB gshare with 16 bits of
-// global history (2^16 two-bit saturating counters plus the history
-// register).
+// gshare is the branch predictor of Table 1: a gshare with 16 bits of
+// global history, 2^16 two-bit saturating counters indexed by the PC XOR
+// the history register.
 type gshare struct {
-	counters []uint8
-	history  uint64
-	bits     uint
-	mask     uint64
+	// packed holds the counters four to a byte, counter i in bits
+	// 2*(i%4) and up of byte i/4. Each is stored XOR 2, so the zero value
+	// is 2, weakly taken: loop branches train instantly.
+	packed  []uint8
+	history uint64
+	mask    uint64
 
 	meter *power.Meter
 	core  int
@@ -18,22 +20,28 @@ type gshare struct {
 }
 
 func newGshare(bits uint, meter *power.Meter, core int) *gshare {
-	g := &gshare{
-		counters: make([]uint8, 1<<bits),
-		bits:     bits,
-		mask:     (1 << bits) - 1,
-		meter:    meter,
-		core:     core,
+	return &gshare{
+		packed: make([]uint8, (1<<bits+3)/4),
+		mask:   (1 << bits) - 1,
+		meter:  meter,
+		core:   core,
 	}
-	// Initialize to weakly taken: loop branches train instantly.
-	for i := range g.counters {
-		g.counters[i] = 2
-	}
-	return g
 }
 
 func (g *gshare) index(pc uint64) uint64 {
 	return ((pc >> 2) ^ g.history) & g.mask
+}
+
+// counter returns counter i, 0 (strongly not taken) to 3 (strongly taken).
+func (g *gshare) counter(i uint64) uint8 {
+	return (g.packed[i>>2]>>((i&3)*2))&3 ^ 2
+}
+
+// setCounter stores c, 0 to 3, as counter i.
+func (g *gshare) setCounter(i uint64, c uint8) {
+	sh := (i & 3) * 2
+	b := &g.packed[i>>2]
+	*b = *b&^(3<<sh) | (c^2)<<sh
 }
 
 // predict returns the prediction for the branch at pc and charges the
@@ -43,7 +51,7 @@ func (g *gshare) predict(pc uint64) bool {
 		g.meter.Add(g.core, power.EvBpred, 1)
 	}
 	g.lookups++
-	return g.counters[g.index(pc)] >= 2
+	return g.counter(g.index(pc)) >= 2
 }
 
 // update trains the predictor with the actual outcome and shifts the
@@ -58,7 +66,7 @@ func (g *gshare) update(pc uint64, taken, predicted bool) {
 		g.correct++
 	}
 	i := g.index(pc)
-	c := g.counters[i]
+	c := g.counter(i)
 	if taken {
 		if c < 3 {
 			c++
@@ -66,7 +74,7 @@ func (g *gshare) update(pc uint64, taken, predicted bool) {
 	} else if c > 0 {
 		c--
 	}
-	g.counters[i] = c
+	g.setCounter(i, c)
 	g.history = ((g.history << 1) | b2u(taken)) & g.mask
 }
 

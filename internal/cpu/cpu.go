@@ -1,8 +1,8 @@
 // Package cpu models the out-of-order cores of the simulated CMP (paper
 // Table 1): 4-wide fetch/decode/issue, a 128-entry instruction window with a
-// 64-entry load/store queue, a 14-stage pipeline, a 64KB 16-bit gshare
-// branch predictor and the Table-1 functional-unit mix, at 3GHz and 0.9V
-// nominal.
+// 64-entry load/store queue, a 14-stage pipeline, a gshare branch
+// predictor with 16 bits of history (2^16 two-bit counters) and the Table-1
+// functional-unit mix, at 3GHz and 0.9V nominal.
 //
 // The core is trace-reactive: it consumes the correct-path dynamic
 // instruction stream from a workload Source, predicts branches with a real

@@ -101,9 +101,15 @@ func hashInst(h *ckpt.Hasher, in isa.Inst) {
 	h.WriteBool(in.Serialize)
 }
 
+// hashState writes the counters unpacked, one byte each: snapshots and the
+// pinned digests depend on that encoding.
 func (b *gshare) hashState(h *ckpt.Hasher) {
 	h.WriteU64(b.history)
 	h.WriteI64(b.lookups)
 	h.WriteI64(b.correct)
-	h.WriteBytes(b.counters)
+	counters := make([]uint8, b.mask+1)
+	for i := range counters {
+		counters[i] = b.counter(uint64(i))
+	}
+	h.WriteBytes(counters)
 }

@@ -252,7 +252,7 @@ func (c *Core) dispatch() int {
 	width := c.effWidth(c.knobs.DecodeWidth, c.cfg.DecodeWidth)
 	n := 0
 	for n < width && c.fpLen > 0 && c.count < len(c.rob) {
-		f := c.fpBuf[c.fpHead]
+		f := &c.fpBuf[c.fpHead]
 		if f.readyTick > c.tick {
 			break
 		}
