@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race race-intra check chaos golden sweep-check bench bench-baseline bench-compare bench-smoke serve-smoke ckpt-conformance crash-e2e profile fuzz fmt vet loc bench-ab
+.PHONY: all build test test-short race race-intra check chaos golden sweep-check bench serve-smoke ckpt-conformance crash-e2e profile fuzz fmt vet loc bench-ab
 
 all: build test
 
@@ -60,31 +60,14 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 	$(GO) test -run xxx -bench 'BenchmarkSimStep' -benchtime 3s ./internal/sim/
 
-# Re-record BENCH_baseline.json on this machine (see cmd/ptbbench).
-bench-baseline:
-	( $(GO) test -run xxx -bench . -benchtime 1x . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkSimStep' -benchtime 3s ./internal/sim/ ) \
-	| $(GO) run ./cmd/ptbbench -save BENCH_baseline.json
-
-# Compare a fresh benchmark run against the committed baseline.
-bench-compare:
-	( $(GO) test -run xxx -bench . -benchtime 1x . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkSimStep' -benchtime 3s ./internal/sim/ ) \
-	| $(GO) run ./cmd/ptbbench -compare BENCH_baseline.json
-
-# The CI regression gate, runnable locally: the hot-loop benchmarks plus
-# one figure benchmark against the committed baseline, failing on any
-# regression beyond 15%. -par-intra also gates the big-chip intra-scaling
-# speedup (par-intra=8 vs serial), enforced only when GOMAXPROCS >= 8.
-bench-smoke:
-	( $(GO) test -run xxx -bench 'BenchmarkSimStep' -benchtime 3s ./internal/sim/ ; \
-	  $(GO) test -run xxx -bench 'BenchmarkFig9PolicySweep' -benchtime 1x . ) \
-	| $(GO) run ./cmd/ptbbench -compare BENCH_baseline.json -fail-over 15 -par-intra 2
-
 # Interleaved A/B run of the benchmark (perfbench) on the working tree
 # against a revision: PAIRS alternating pairs of WORKLOAD runs, a fresh
 # seed per pair, then each metric's median, quartiles and pair wins.
 # WORKLOAD=all runs every workload BENCHMARK.json names, one summary each.
+# It exits 1 when a change run is incorrect or fails more ops than its base
+# run, or when an end-to-end metric is worse than its base run by more than
+# its BENCHMARK.json bound in every pair. CI's bench-ab job runs it at
+# PAIRS=3 on matrix-4c against the pull request's base.
 PAIRS ?= 10
 WORKLOAD ?= matrix-4c
 bench-ab:

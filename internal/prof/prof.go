@@ -23,12 +23,9 @@ type Flags struct {
 	Trace string
 }
 
-// Register installs the profiling flags on fs (nil = flag.CommandLine) and
-// returns the struct their values land in. Call before flag.Parse.
+// Register installs the profiling flags on fs and returns the struct their
+// values land in. Call before fs.Parse.
 func Register(fs *flag.FlagSet) *Flags {
-	if fs == nil {
-		fs = flag.CommandLine
-	}
 	f := &Flags{}
 	fs.StringVar(&f.CPU, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&f.Mem, "memprofile", "", "write a heap profile to this file on exit")

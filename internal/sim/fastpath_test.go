@@ -71,21 +71,35 @@ func TestPessimisticNextWakeOnlyCostsSpeed(t *testing.T) {
 	}
 }
 
-// TestFastPathEngages pins that skip-ahead actually covers a meaningful
-// fraction of an unthrottled run — the perf win exists, not just its safety.
+// TestFastPathEngages pins the exact number of cycles skip-ahead covers on
+// three golden cells (scale 0.25, Dynamic policy). Results are identical
+// with the fast path off, so only this count shows it disabled, even in
+// part; a spurious due event closes the gate too and moves the count.
 func TestFastPathEngages(t *testing.T) {
-	s, err := NewSystem(tiny("ocean", 4, TechNone, core.PolicyToAll))
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		bench        string
+		tech         Technique
+		fast, cycles int64
+	}{
+		{"barnes", TechNone, 59_122, 135_461},
+		{"ocean", TechPTB, 44_985, 159_250},
+		{"raytrace", TechPTBSpinGate, 59_682, 148_228},
+	} {
+		t.Run(fmt.Sprintf("%s/4/%s", c.bench, c.tech), func(t *testing.T) {
+			cfg := tiny(c.bench, 4, c.tech, core.PolicyDynamic)
+			cfg.WorkloadScale = 0.25
+			s, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.RunContext(t.Context()); err != nil {
+				t.Fatal(err)
+			}
+			if s.FastCycles() != c.fast || s.Cycle() != c.cycles {
+				t.Fatalf("fast path covered %d of %d cycles, want %d of %d", s.FastCycles(), s.Cycle(), c.fast, c.cycles)
+			}
+		})
 	}
-	if _, err := s.RunContext(t.Context()); err != nil {
-		t.Fatal(err)
-	}
-	frac := float64(s.FastCycles()) / float64(s.Cycle())
-	if frac < 0.2 {
-		t.Fatalf("fast path covered only %.1f%% of cycles; skip-ahead is not engaging", 100*frac)
-	}
-	t.Logf("fast path covered %.0f%% of %d cycles", 100*frac, s.Cycle())
 }
 
 // TestStepZeroAllocSteadyState pins the ISSUE-4 acceptance criterion:

@@ -12,9 +12,14 @@ import (
 // benchSteps measures the per-cycle cost of System.Step on a live 4-core
 // ocean run. The variants differ only in cfg.Invariants / cfg.Observe, so
 // comparing their ns/op isolates what each opt-in layer costs when
-// disabled (one nil check per cycle — the <2% claims in DESIGN.md §8 and
-// §11) and when enabled (epoch-gated sweeps / sampling). cmd/ptbbench
-// compares all of them against BENCH_baseline.json.
+// disabled (one nil check per cycle, DESIGN.md §8 and §11) and when
+// enabled (epoch-gated sweeps / sampling). Compare them within one
+// session, never against numbers from another run:
+//
+//	go test -run '^$' -bench 'BenchmarkSimStep(Invariants|Telemetry)?$' -count 10 ./internal/sim/
+//
+// On a 2-vCPU Xeon VM BenchmarkSimStep alone ranged over 943–1193 ns/op in
+// one session, so an enabled cost of a few percent is inside the spread.
 func benchSteps(b *testing.B, check bool, observe *obs.Config) {
 	spec, ok := workload.ByName("ocean")
 	if !ok {
@@ -58,8 +63,8 @@ func BenchmarkSimStepTelemetry(b *testing.B) {
 
 // BenchmarkSimStepBigChip is the intra-run scaling benchmark: the per-cycle
 // cost of a live 64-core PTB chip as the tile count grows. par-intra=1 is
-// the serial baseline; the speedup of the par-intra=8 variant over it is
-// the PR-7 acceptance number (≥2×), gated in CI by `ptbbench -par-intra`.
+// the serial baseline. On a 2-vCPU Xeon VM every parallel variant measured
+// 30–45% slower than it (DESIGN.md §13); nothing gates a speedup.
 // Results are bit-identical across the variants (the conformance suite
 // pins that), so this measures wall-clock only.
 func BenchmarkSimStepBigChip(b *testing.B) {

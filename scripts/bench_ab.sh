@@ -7,8 +7,11 @@
 # printed. Results land in .bench_build/ab/<workload>-<stamp>/ and the
 # summary (each metric's median, quartiles, pair wins and verdict) is
 # printed by scripts/benchab. WORKLOAD=all runs every workload named in
-# BENCHMARK.json in turn, with one summary each. Run it from any directory
-# of the checkout:
+# BENCHMARK.json in turn, with one summary each. After the last summary it
+# exits 1 if any workload failed benchab's gate: a change run incorrect or
+# failing more ops than its base run, or an end-to-end metric worse than
+# its base run by more than its bound in every pair. Run it from any
+# directory of the checkout:
 #
 #   bash scripts/bench_ab.sh REV [PAIRS] [WORKLOAD|all]
 #   make bench-ab REV=main PAIRS=10 WORKLOAD=matrix-4c
@@ -51,6 +54,7 @@ side() {
 	echo "pair $3 seed $4 $1: $(tail -n 1 "$log")"
 }
 
+status=0
 for workload in $workloads; do
 	out=$ab/$workload-$(date +%Y%m%dT%H%M%S)
 	mkdir -p "$out"
@@ -69,6 +73,7 @@ for workload in $workloads; do
 	echo
 	echo "## $workload"
 	echo
-	go run ./scripts/benchab "$out"
+	go run ./scripts/benchab "$out" || status=1
 	echo
 done
+exit $status

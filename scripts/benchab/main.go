@@ -4,8 +4,11 @@
 // pairs. For every end-to-end metric in BENCHMARK.json it prints each
 // side's median and quartiles, the pairs the change won, and a verdict:
 // a gain needs at least nine tenths of the pairs and a median gap wider
-// than the base's quartile spread; a loss is a median worse than the
-// base's by more than the metric's bound.
+// than the base's quartile spread; a regression is a change worse than its
+// paired base run by more than the metric's bound in every pair.
+//
+// It exits 1, after the whole summary, on a regression, on an incorrect
+// change run, or on a change run that failed more ops than its base run.
 //
 //	go run ./scripts/benchab .bench_build/ab/matrix-4c-<stamp>
 package main
@@ -13,12 +16,15 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 )
 
 type result struct {
+	path      string
 	Correct   bool `json:"correct"`
 	Attempted int  `json:"attempted"`
 	Failed    int  `json:"failed"`
@@ -27,29 +33,36 @@ type result struct {
 	} `json:"metrics"`
 }
 
-type benchmark struct {
-	EndToEnd []struct {
-		Name   string  `json:"name"`
-		Unit   string  `json:"unit"`
-		Better string  `json:"better"`
-		Bound  float64 `json:"bound"`
-	} `json:"end_to_end"`
+type metric struct {
+	Name   string  `json:"name"`
+	Unit   string  `json:"unit"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
 }
+
+type benchmark struct {
+	EndToEnd []metric `json:"end_to_end"`
+}
+
+// worseEveryPair is the verdict that fails the gate.
+const worseEveryPair = "worse beyond bound in every pair"
 
 func main() {
 	if len(os.Args) != 2 {
 		fmt.Fprintln(os.Stderr, "usage: benchab DIR")
 		os.Exit(2)
 	}
-	if err := run(os.Args[1]); err != nil {
+	if err := run("BENCHMARK.json", os.Args[1], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchab:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dir string) error {
+// run prints the summary of the runs in dir against the end-to-end metrics
+// of the benchmark file, and returns an error when the gate fails.
+func run(benchmarkFile, dir string, w io.Writer) error {
 	var bm benchmark
-	if err := readJSON("BENCHMARK.json", &bm); err != nil {
+	if err := readJSON(benchmarkFile, &bm); err != nil {
 		return err
 	}
 	base, err := readSide(dir, "base")
@@ -63,6 +76,18 @@ func run(dir string) error {
 	if len(base) != len(change) || len(base) == 0 {
 		return fmt.Errorf("%s: %d base and %d change results, want equal and non-zero", dir, len(base), len(change))
 	}
+	rows := make([]comparison, len(bm.EndToEnd))
+	for i, m := range bm.EndToEnd {
+		b, err := values(base, m.Name)
+		if err != nil {
+			return err
+		}
+		c, err := values(change, m.Name)
+		if err != nil {
+			return err
+		}
+		rows[i] = compare(m, b, c)
+	}
 	for _, side := range []struct {
 		name string
 		rs   []result
@@ -75,37 +100,73 @@ func run(dir string) error {
 				incorrect++
 			}
 		}
-		fmt.Printf("%-6s %d runs, %d incorrect, %d of %d ops failed\n", side.name, len(side.rs), incorrect, failed, attempted)
+		fmt.Fprintf(w, "%-6s %d runs, %d incorrect, %d of %d ops failed\n", side.name, len(side.rs), incorrect, failed, attempted)
 	}
-	fmt.Printf("\n| metric | base median [q1, q3] | change median [q1, q3] | Δ median | change wins | verdict |\n|---|---|---|---:|---:|---|\n")
-	for _, m := range bm.EndToEnd {
-		b, c := values(base, m.Name), values(change, m.Name)
-		lower := m.Better == "lower"
-		wins := 0
-		for i := range b {
-			if (lower && c[i] < b[i]) || (!lower && c[i] > b[i]) {
-				wins++
-			}
+	var fails []string
+	for i, c := range change {
+		if !c.Correct {
+			fails = append(fails, c.path+" is incorrect")
 		}
-		b1, bm2, b3 := quartiles(b)
-		c1, cm, c3 := quartiles(c)
-		gap := cm - bm2
-		if lower {
-			gap = -gap // positive gap: the change is better
+		if c.Failed > base[i].Failed {
+			fails = append(fails, fmt.Sprintf("%s failed %d ops, its base run %d", c.path, c.Failed, base[i].Failed))
 		}
-		verdict := "within bound"
-		switch {
-		case 10*wins >= 9*len(b) && gap > b3-b1:
-			verdict = "gain"
-		case -gap > m.Bound*bm2:
-			verdict = "worse beyond bound"
-		case b3-b1 > m.Bound*bm2:
-			verdict = "unresolved: base spread above bound"
+	}
+	fmt.Fprintf(w, "\n| metric | base median [q1, q3] | change median [q1, q3] | Δ median | change wins | verdict |\n|---|---|---|---:|---:|---|\n")
+	for i, m := range bm.EndToEnd {
+		r := rows[i]
+		if r.verdict == worseEveryPair {
+			fails = append(fails, m.Name+" is "+worseEveryPair)
 		}
-		fmt.Printf("| %s (%s) | %.4g [%.4g, %.4g] | %.4g [%.4g, %.4g] | %+.1f%% | %d/%d | %s |\n",
-			m.Name, m.Unit, bm2, b1, b3, cm, c1, c3, 100*(cm-bm2)/bm2, wins, len(b), verdict)
+		fmt.Fprintf(w, "| %s (%s) | %.4g [%.4g, %.4g] | %.4g [%.4g, %.4g] | %+.1f%% | %d/%d | %s |\n",
+			m.Name, m.Unit, r.b[1], r.b[0], r.b[2], r.c[1], r.c[0], r.c[2], 100*(r.c[1]-r.b[1])/r.b[1], r.wins, len(base), r.verdict)
+	}
+	if len(fails) > 0 {
+		return fmt.Errorf("gate failed: %s", strings.Join(fails, "; "))
 	}
 	return nil
+}
+
+// comparison is one metric's row of the summary: each side's quartiles,
+// the pairs the change won and the verdict.
+type comparison struct {
+	b, c    [3]float64
+	wins    int
+	verdict string
+}
+
+// compare judges one metric from its paired base and change values.
+func compare(m metric, b, c []float64) comparison {
+	sign := 1.0 // sign * (change - base) is positive when the change is better
+	if m.Better == "lower" {
+		sign = -1
+	}
+	var r comparison
+	worse := 0
+	for i := range b {
+		better := sign * (c[i] - b[i])
+		if better > 0 {
+			r.wins++
+		}
+		if -better > m.Bound*b[i] {
+			worse++
+		}
+	}
+	r.b[0], r.b[1], r.b[2] = quartiles(b)
+	r.c[0], r.c[1], r.c[2] = quartiles(c)
+	gap := sign * (r.c[1] - r.b[1])
+	switch {
+	case worse == len(b):
+		r.verdict = worseEveryPair
+	case 10*r.wins >= 9*len(b) && gap > r.b[2]-r.b[0]:
+		r.verdict = "gain"
+	case -gap > m.Bound*r.b[1]:
+		r.verdict = fmt.Sprintf("unresolved: worse beyond bound in %d/%d pairs", worse, len(b))
+	case r.b[2]-r.b[0] > m.Bound*r.b[1]:
+		r.verdict = "unresolved: base spread above bound"
+	default:
+		r.verdict = "within bound"
+	}
+	return r
 }
 
 func readJSON(path string, v any) error {
@@ -127,7 +188,7 @@ func readSide(dir, side string) ([]result, error) {
 		if _, err := os.Stat(path); err != nil {
 			return rs, nil
 		}
-		var r result
+		r := result{path: path}
 		if err := readJSON(path, &r); err != nil {
 			return nil, err
 		}
@@ -135,12 +196,18 @@ func readSide(dir, side string) ([]result, error) {
 	}
 }
 
-func values(rs []result, name string) []float64 {
+// values returns each result's value of the named metric; a result line
+// without it is an error, not a zero.
+func values(rs []result, name string) ([]float64, error) {
 	out := make([]float64, len(rs))
 	for i, r := range rs {
-		out[i] = r.Metrics[name].Value
+		v, ok := r.Metrics[name]
+		if !ok {
+			return nil, fmt.Errorf("%s: no %s metric", r.path, name)
+		}
+		out[i] = v.Value
 	}
-	return out
+	return out, nil
 }
 
 // quartiles returns the cut points of Python's statistics.quantiles(xs,
