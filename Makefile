@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race race-intra check chaos golden sweep-check bench serve-smoke ckpt-conformance crash-e2e profile fuzz fmt vet loc bench-ab
+.PHONY: all build test test-short race check chaos golden sweep-check bench serve-smoke ckpt-conformance crash-e2e profile fuzz fmt vet loc bench-ab
 
 all: build test
 
@@ -20,16 +20,6 @@ test-short:
 
 race:
 	$(GO) test -race -shuffle=on -count=1 -short ./...
-
-# The intra-run tile-parallelism conformance matrix under the race
-# detector: technique × policy × fault cells with every chip sharded
-# across goroutine tiles (the suite drives par-intra 2/4/8 internally),
-# plus the partition package's property tests. CI's partition-conformance
-# job runs exactly this (DESIGN.md §13).
-race-intra:
-	$(GO) test -race -count=1 -short -v \
-		-run 'TestIntraParallel|TestStepZeroAllocSteadyState' ./internal/sim/
-	$(GO) test -race -count=1 -v ./internal/partition/
 
 # Full technique×benchmark matrix with the runtime invariant layer on,
 # failing on any conservation/consistency violation or digest drift.
@@ -82,7 +72,7 @@ serve-smoke:
 
 # Checkpoint/restore conformance (DESIGN.md §14): the short
 # snapshot-at-midpoint matrix under the race detector, then every golden
-# cell through the drill-and-resume cycle at par-intra 1 and 4. CI's
+# cell through the drill-and-resume cycle. CI's
 # checkpoint-conformance job runs exactly this.
 ckpt-conformance:
 	$(GO) test -race -count=1 -v \
@@ -113,7 +103,6 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzConfigValidate -fuzztime 30s .
 	$(GO) test -run xxx -fuzz FuzzParseFaultSpec -fuzztime 30s .
 	$(GO) test -run xxx -fuzz FuzzParseTelemetrySpec -fuzztime 30s .
-	$(GO) test -run xxx -fuzz FuzzParseIntraParallel -fuzztime 30s .
 
 fmt:
 	gofmt -l -w .

@@ -264,6 +264,50 @@ func TestConcurrentRunsCoalesce(t *testing.T) {
 	}
 }
 
+// TestCacheKeyKeepsFullFloatPrecision checks that an Experiment never
+// serves one configuration's result for another whose float fields differ
+// only past the fourth decimal: the two budgets below produce different
+// digests when run directly, so they must miss each other's cache entry.
+func TestCacheKeyKeepsFullFloatPrecision(t *testing.T) {
+	ctx := context.Background()
+	cfg := func(budget float64) ptbsim.Config {
+		return ptbsim.Config{Benchmark: "ocean", Cores: 4, Technique: ptbsim.PTB,
+			Policy: ptbsim.Dynamic, BudgetFrac: budget, WorkloadScale: 0.05}
+	}
+	a, b := cfg(0.50001), cfg(0.50004)
+	wantA, err := ptbsim.RunContext(ctx, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantB, err := ptbsim.RunContext(ctx, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantA.Digest() == wantB.Digest() {
+		t.Fatalf("budgets %v and %v give one digest; pick configs that differ", a.BudgetFrac, b.BudgetFrac)
+	}
+
+	var cached []bool
+	e := ptbsim.NewExperiment(ptbsim.WithParallelism(1),
+		ptbsim.WithProgress(func(p ptbsim.Progress) { cached = append(cached, p.Cached) }))
+	for _, c := range []struct {
+		cfg  ptbsim.Config
+		want *ptbsim.Result
+	}{{a, wantA}, {b, wantB}} {
+		got, err := e.Run(ctx, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Digest() != c.want.Digest() {
+			t.Errorf("BudgetFrac %v through the experiment:\n got  %s\n want %s",
+				c.cfg.BudgetFrac, got.Digest(), c.want.Digest())
+		}
+	}
+	if !reflect.DeepEqual(cached, []bool{false, false}) {
+		t.Errorf("cached flags %v, want both runs fresh", cached)
+	}
+}
+
 // TestSweepCancellation: cancelling mid-sweep must return promptly with an
 // error wrapping context.Canceled.
 func TestSweepCancellation(t *testing.T) {

@@ -23,9 +23,9 @@ import (
 // corrupt, version-skewed or mismatched snapshot falls back to
 // recomputing from scratch (degraded, never wrong).
 //
-// Like Observe and IntraParallel, Checkpoint is excluded from experiment
-// cache keys and from the stable Config wire schema — it changes where
-// work is saved, never what is computed.
+// Like Observe, Checkpoint is excluded from experiment cache keys and
+// from the stable Config wire schema — it changes where work is saved,
+// never what is computed.
 type Checkpoint struct {
 	// Every is the snapshot period in cycles. <= 0 disables.
 	Every int64
@@ -56,8 +56,8 @@ var (
 
 // plan builds the internal snapshot plan for cfg. The run key — and
 // hence the snapshot file name — is the stable config wire JSON, which
-// contains exactly the result-determining fields (Observe, IntraParallel
-// and Checkpoint itself are excluded by construction), so equivalent
+// contains exactly the result-determining fields (Observe and Checkpoint
+// itself are excluded by construction), so equivalent
 // runs share snapshots and different runs never collide.
 func (ck *Checkpoint) plan(cfg Config) (*ckpt.Plan, error) {
 	if ck == nil || ck.Every <= 0 {

@@ -63,7 +63,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		assert   = fs.Bool("assert-monotone", false, "exit 1 unless the energy-accuracy error is non-decreasing in the drop rate for every core count")
 		quiet    = fs.Bool("q", false, "suppress per-run progress")
 		outPath  = fs.String("o", "", "output file (default stdout)")
-		parIn    = fs.Int("par-intra", 0, "shard each simulated chip across up to this many goroutine-stepped tiles (0 = serial; each chip uses the largest divisor of its core count that fits; output is identical at any value)")
 	)
 	pol := ptbsim.Dynamic
 	fs.Var(&pol, "policy", "PTB policy: "+strings.Join(ptbsim.PolicyNames(), ", "))
@@ -96,9 +95,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	opts := []ptbsim.Option{
 		ptbsim.WithScale(*scale),
 		ptbsim.WithParallelism(*par),
-	}
-	if *parIn > 0 {
-		opts = append(opts, ptbsim.WithIntraParallel(*parIn))
 	}
 	if *check {
 		opts = append(opts, ptbsim.WithInvariants())

@@ -42,7 +42,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		techsIn = fs.String("techs", "", "comma-separated techniques (default: all)")
 		cluster = fs.Int("cluster", 0, "PTB cluster size applied to the PTB-family runs (0 = one chip-wide balancer)")
 		par     = fs.Int("par", runtime.NumCPU(), "parallel simulations (output is identical at any value)")
-		parIn   = fs.Int("par-intra", 0, "shard each simulated chip across up to this many goroutine-stepped tiles (0 = serial; each chip uses the largest divisor of its core count that fits; digests are identical at any value)")
 		check   = fs.Bool("check", true, "enable runtime invariant checks on every run")
 		quiet   = fs.Bool("q", false, "suppress per-run progress")
 		outPath = fs.String("o", "", "output file (default stdout)")
@@ -69,9 +68,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if faults.Spec != nil {
 		opts = append(opts, ptbsim.WithFaults(*faults.Spec))
-	}
-	if *parIn > 0 {
-		opts = append(opts, ptbsim.WithIntraParallel(*parIn))
 	}
 	telOpts, err := c.ExperimentTelemetry(telemetry.Spec)
 	if err != nil {

@@ -37,7 +37,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		check   = fs.Bool("check", false, "enable runtime invariant checks (fails on any violation)")
 		listAll = fs.Bool("list", false, "list benchmarks and exit")
 		asJSON  = fs.Bool("json", false, "emit the result as JSON")
-		parIn   = fs.String("par-intra", "1", "shard the simulated chip across this many goroutine-stepped tiles (a divisor of -cores; results are bit-identical at any legal value)")
 	)
 	// The typed flag.Values validate at parse time through the library's
 	// parsers, so unknown names fail loudly with the canonical errors
@@ -65,11 +64,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return c.Exit(nil)
 	}
 
-	tiles, err := ptbsim.ParseIntraParallel(*parIn, *cores)
-	if err != nil {
-		return c.Exit(err)
-	}
-
 	cfg := ptbsim.Config{
 		Benchmark:             *bench,
 		Cores:                 *cores,
@@ -81,14 +75,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		PessimisticPTBLatency: *pessim,
 		CheckInvariants:       *check,
 		Faults:                faults.Spec,
-		IntraParallel:         tiles,
 	}
 	if checkpoint.Spec != nil {
 		cfg.Checkpoint = checkpoint.Spec.Checkpoint()
 	}
-	if cfg.Observe, err = c.Telemetry(telemetry.Spec); err != nil {
+	obs, err := c.Telemetry(telemetry.Spec)
+	if err != nil {
 		return c.Exit(err)
 	}
+	cfg.Observe = obs
 
 	if *resume != "" {
 		// Snapshots are self-describing, so -resume needs no workload flags:

@@ -54,7 +54,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		format  = fs.String("format", "text", "output format: text, md, csv")
 		check   = fs.Bool("check", false, "enable runtime invariant checks on every run (fails on any violation)")
 		outPath = fs.String("o", "", "write output to this file instead of stdout (for go:generate)")
-		parIn   = fs.Int("par-intra", 0, "shard each simulated chip across up to this many goroutine-stepped tiles (0 = serial; each chip uses the largest divisor of its core count that fits; output is identical at any value)")
 	)
 	var faults ptbsim.FaultSpecFlag
 	fs.Var(&faults, "faults", "fault-injection spec applied to every run, e.g. seed=42,drop=0.25")
@@ -75,7 +74,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		ptbsim.WithScale(*scale),
 		ptbsim.WithMaxCycles(figures.MaxCycles),
 		ptbsim.WithParallelism(*par),
-		ptbsim.WithIntraParallel(*parIn),
 	}
 	if *check {
 		opts = append(opts, ptbsim.WithInvariants())

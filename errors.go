@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 
 	"ptbsim/internal/fault"
@@ -67,10 +66,6 @@ var (
 	ErrBadMaxCycles = errors.New("invalid max cycles")
 	// ErrBadCluster marks a negative PTBClusterSize.
 	ErrBadCluster = errors.New("invalid PTB cluster size")
-	// ErrBadIntraParallel marks an IntraParallel tile count that is
-	// negative, zero via an explicit flag, or not a divisor of the core
-	// count.
-	ErrBadIntraParallel = errors.New("invalid intra-run parallelism")
 )
 
 // MaxCores is the largest CMP size Validate accepts. The paper evaluates
@@ -129,26 +124,6 @@ func ParsePolicy(s string) (Policy, error) {
 		ErrUnknownPolicy, s, strings.Join(PolicyNames(), ", "))
 }
 
-// ParseIntraParallel resolves a command-line -par-intra value against a
-// core count: the number of tiles the chip is sharded across. Valid values
-// are the divisors of cores (1 = serial). Anything else — non-integers,
-// zero, negatives, non-divisors, more tiles than cores — returns an error
-// wrapping ErrBadIntraParallel. cores <= 0 stands in for the default
-// 4-core chip.
-func ParseIntraParallel(s string, cores int) (int, error) {
-	if cores <= 0 {
-		cores = 4
-	}
-	n, err := strconv.Atoi(strings.TrimSpace(s))
-	if err != nil {
-		return 0, fmt.Errorf("ptbsim: %w %q (want a positive divisor of the core count)", ErrBadIntraParallel, s)
-	}
-	if n <= 0 || n > cores || cores%n != 0 {
-		return 0, fmt.Errorf("ptbsim: %w %d (want a divisor of the %d-core chip)", ErrBadIntraParallel, n, cores)
-	}
-	return n, nil
-}
-
 // Validate checks every Config field against the simulator's domain and
 // returns an error wrapping the matching sentinel (ErrUnknownBenchmark,
 // ErrBadCores, …) for the first violation. Zero values that select
@@ -185,16 +160,6 @@ func (c Config) Validate() error {
 	}
 	if c.PTBClusterSize < 0 {
 		return fmt.Errorf("ptbsim: %w %d", ErrBadCluster, c.PTBClusterSize)
-	}
-	if c.IntraParallel != 0 {
-		cores := c.Cores
-		if cores == 0 {
-			cores = 4 // the documented Cores default
-		}
-		if c.IntraParallel < 0 || c.IntraParallel > cores || cores%c.IntraParallel != 0 {
-			return fmt.Errorf("ptbsim: %w %d (want a divisor of the %d-core chip, or 0 for the serial default)",
-				ErrBadIntraParallel, c.IntraParallel, cores)
-		}
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {

@@ -2,13 +2,13 @@ package ptbsim
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"time"
 
-	"ptbsim/internal/partition"
 	"ptbsim/internal/sched"
 	"ptbsim/internal/sim"
 )
@@ -37,18 +37,17 @@ type Progress struct {
 // progress. All methods are safe for concurrent use. Returned Results are
 // shared across callers and must be treated as read-only.
 type Experiment struct {
-	scale         float64
-	maxCycles     int64
-	parallelism   int
-	invariants    bool
-	faults        *FaultSpec
-	intraParallel int
-	checkpoint    *Checkpoint
-	progress      func(Progress)
-	observer      Observer
-	obsEvery      int64
-	obsRing       int
-	telemetry     *Telemetry // shared serialized Telemetry built from observer
+	scale       float64
+	maxCycles   int64
+	parallelism int
+	invariants  bool
+	faults      *FaultSpec
+	checkpoint  *Checkpoint
+	progress    func(Progress)
+	observer    Observer
+	obsEvery    int64
+	obsRing     int
+	telemetry   *Telemetry // shared serialized Telemetry built from observer
 
 	cacheBackend ResultCache // nil = default in-memory cache
 	queueCap     int         // Submit queue bound; 0 = unbounded
@@ -104,19 +103,6 @@ func WithFaults(spec FaultSpec) Option {
 // own.
 func WithProgress(fn func(Progress)) Option {
 	return func(e *Experiment) { e.progress = fn }
-}
-
-// WithIntraParallel shards every run the experiment executes across up to
-// n tiles of goroutine-stepped cores: each chip uses the largest divisor
-// of its core count not exceeding n, so one setting works across a sweep
-// mixing core counts (configs that set their own IntraParallel keep it,
-// and those are validated strictly). Like telemetry, intra-run sharding
-// never enters the cache key: results are bit-identical at every legal
-// tile count (the conformance suite in internal/sim pins this), so a
-// serial and a sharded request for the same configuration share one
-// simulation.
-func WithIntraParallel(n int) Option {
-	return func(e *Experiment) { e.intraParallel = n }
 }
 
 // WithCheckpoint arms crash-recovery snapshots on every run the
@@ -216,34 +202,22 @@ func (e *Experiment) normalize(cfg Config) Config {
 	if cfg.Checkpoint == nil && e.checkpoint != nil {
 		cfg.Checkpoint = e.checkpoint
 	}
-	if cfg.IntraParallel == 0 && e.intraParallel > 0 {
-		// The experiment-level default means "up to n tiles": each chip is
-		// sharded across the largest divisor of its core count that fits,
-		// so one setting works across a sweep mixing core counts. Explicit
-		// per-config IntraParallel stays strict (Validate rejects
-		// non-divisors).
-		cores := cfg.Cores
-		if cores == 0 {
-			cores = 4 // the documented Cores default
-		}
-		cfg.IntraParallel = partition.Fit(cores, e.intraParallel)
-	}
 	return cfg
 }
 
-// key canonicalizes a normalized config into the engine cache key. The key
-// is built from the result-determining fields explicitly — Observe and
-// IntraParallel stay out by construction: telemetry can never change a
-// result, and intra-run sharding is proven bit-identical to serial.
+// key canonicalizes a normalized config into the engine cache key: its
+// stable wire JSON (configJSON), which holds exactly the result-determining
+// fields and round-trips every float64 bit-exactly, so two configs share a
+// key only if they run the same simulation. Observe and Checkpoint have no
+// wire form and stay out: neither can change a result. Callers validate
+// cfg first, and Validate rejects the non-finite floats, the only values
+// json.Marshal refuses.
 func (e *Experiment) key(cfg Config) string {
-	faults := "-"
-	if cfg.Faults != nil {
-		faults = cfg.Faults.String()
+	b, err := json.Marshal(cfg)
+	if err != nil {
+		panic(fmt.Sprintf("ptbsim: cache key: %v", err))
 	}
-	return fmt.Sprintf("%s|%d|%s|%d|relax=%.4f|budget=%.4f|scale=%.4f|max=%d|pessim=%t|cluster=%d|check=%t|faults=%s",
-		cfg.Benchmark, cfg.Cores, cfg.Technique, int(cfg.Policy),
-		cfg.RelaxFrac, cfg.BudgetFrac, cfg.WorkloadScale, cfg.MaxCycles,
-		cfg.PessimisticPTBLatency, cfg.PTBClusterSize, cfg.CheckInvariants, faults)
+	return string(b)
 }
 
 // execute runs one validated configuration. A timeout > 0 bounds its

@@ -2,7 +2,6 @@ package ptbsim
 
 import (
 	"errors"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -155,50 +154,6 @@ func FuzzParseTelemetrySpec(f *testing.F) {
 		}
 		if again.String() != canon {
 			t.Fatalf("String() not canonical: %q then %q", canon, again.String())
-		}
-	})
-}
-
-// FuzzParseIntraParallel checks the -par-intra parser never panics, that
-// every accepted tile count genuinely divides the effective core count,
-// that accepted values round-trip through their canonical decimal form,
-// and that every rejection — zero, negatives, non-divisors, non-integers —
-// wraps ErrBadIntraParallel so CLI tools can errors.Is-dispatch.
-func FuzzParseIntraParallel(f *testing.F) {
-	f.Add("1", 8)
-	f.Add("8", 8)
-	f.Add("2", 0)
-	f.Add("0", 8)
-	f.Add("-4", 16)
-	f.Add("3", 8)
-	f.Add("16", 8)
-	f.Add(" 4 ", 8)
-	f.Add("2.5", 8)
-	f.Add("", 4)
-	f.Add("0x2", 8)
-	f.Add("64", 256)
-	f.Fuzz(func(t *testing.T, s string, cores int) {
-		n, err := ParseIntraParallel(s, cores)
-		eff := cores
-		if eff <= 0 {
-			eff = 4
-		}
-		if err != nil {
-			if !errors.Is(err, ErrBadIntraParallel) {
-				t.Fatalf("ParseIntraParallel(%q, %d) error %v does not wrap ErrBadIntraParallel", s, cores, err)
-			}
-			if n != 0 {
-				t.Fatalf("ParseIntraParallel(%q, %d) returned %d alongside an error", s, cores, n)
-			}
-			return
-		}
-		if n < 1 || n > eff || eff%n != 0 {
-			t.Fatalf("ParseIntraParallel(%q, %d) accepted %d, not a divisor of the effective %d cores", s, cores, n, eff)
-		}
-		again, err2 := ParseIntraParallel(strconv.Itoa(n), cores)
-		if err2 != nil || again != n {
-			t.Fatalf("ParseIntraParallel(%q, %d) = %d but canonical form does not round-trip: (%d, %v)",
-				s, cores, n, again, err2)
 		}
 	})
 }

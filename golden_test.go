@@ -76,42 +76,33 @@ func TestGoldenMatrixDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix (98 runs) skipped in -short")
 	}
-	want := readGoldenMatrix(t)
-
-	// par-intra=1 is the serial baseline; par-intra=8 clamps to the
-	// maximal partition of the matrix's 4-core chips (single-core tiles,
-	// the experiment default means "up to n") and must reproduce the
-	// committed digests byte-for-byte too.
-	for _, parIntra := range []int{1, 8} {
-		t.Run(fmt.Sprintf("par-intra=%d", parIntra), func(t *testing.T) {
-			e := ptbsim.NewExperiment(
-				ptbsim.WithScale(0.25),
-				ptbsim.WithParallelism(8),
-				ptbsim.WithInvariants(),
-				ptbsim.WithIntraParallel(parIntra),
-			)
-			results, err := e.RunSweep(context.Background(), goldenMatrixSweep(t))
-			if err != nil {
-				t.Fatalf("golden matrix run failed (invariant violation?): %v", err)
+	// One subtest per committed golden file keeps the file in the test name.
+	t.Run("matrix_scale025", func(t *testing.T) {
+		want := readGoldenMatrix(t)
+		e := ptbsim.NewExperiment(
+			ptbsim.WithScale(0.25),
+			ptbsim.WithParallelism(8),
+			ptbsim.WithInvariants(),
+		)
+		results, err := e.RunSweep(context.Background(), goldenMatrixSweep(t))
+		if err != nil {
+			t.Fatalf("golden matrix run failed (invariant violation?): %v", err)
+		}
+		if len(results) != len(want) {
+			t.Fatalf("golden matrix has %d runs, golden file has %d digests", len(results), len(want))
+		}
+		for i, r := range results {
+			if got := r.Digest(); got != want[i] {
+				t.Errorf("digest drift at line %d:\n got  %s\n want %s", i+1, got, want[i])
 			}
-			if len(results) != len(want) {
-				t.Fatalf("golden matrix has %d runs, golden file has %d digests", len(results), len(want))
-			}
-			for i, r := range results {
-				if got := r.Digest(); got != want[i] {
-					t.Errorf("digest drift at line %d:\n got  %s\n want %s", i+1, got, want[i])
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestGoldenMatrixBigChip reruns the committed 64- and 256-core mini-matrix
-// (testdata/golden/matrix_bigchip.txt) with every chip sharded across 8
-// goroutine tiles and compares digests byte-for-byte. It is both halves of
-// the big-chip acceptance: the post-paper chip sizes stay pinned, and the
-// partition layer reproduces them exactly at par-intra=8. The grid must
-// match the go:generate ptbgolden invocation in ptbsim.go.
+// (testdata/golden/matrix_bigchip.txt) and compares digests byte-for-byte,
+// keeping the post-paper chip sizes pinned. The grid must match the
+// go:generate ptbgolden invocation in ptbsim.go.
 func TestGoldenMatrixBigChip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("big-chip matrix (8 runs up to 256 cores) skipped in -short")
@@ -133,7 +124,6 @@ func TestGoldenMatrixBigChip(t *testing.T) {
 	e := ptbsim.NewExperiment(
 		ptbsim.WithScale(0.01),
 		ptbsim.WithInvariants(),
-		ptbsim.WithIntraParallel(8),
 	)
 	results, err := e.RunAll(context.Background(), cfgs)
 	if err != nil {
@@ -144,18 +134,14 @@ func TestGoldenMatrixBigChip(t *testing.T) {
 	}
 	for i, r := range results {
 		if got := r.Digest(); got != want[i] {
-			t.Errorf("big-chip digest drift at line %d (par-intra=8):\n got  %s\n want %s", i+1, got, want[i])
+			t.Errorf("big-chip digest drift at line %d:\n got  %s\n want %s", i+1, got, want[i])
 		}
 	}
 }
 
 // TestDigestParallelismIndependence runs the same configurations through a
-// serial and an 8-way-parallel experiment — the latter also sharding each
-// chip across up to 8 goroutine tiles — and demands byte-identical
-// digests: neither sweep parallelism nor intra-run tile parallelism may
-// ever leak into results. The mixed core counts (2 and 4) also exercise
-// the experiment-level clamp: WithIntraParallel(8) must fit itself to
-// every chip instead of rejecting the sweep.
+// serial and an 8-way-parallel experiment and demands byte-identical
+// digests: sweep parallelism may never leak into results.
 func TestDigestParallelismIndependence(t *testing.T) {
 	cfgs := []ptbsim.Config{
 		{Benchmark: "ocean", Cores: 4, Technique: ptbsim.None},
@@ -165,15 +151,11 @@ func TestDigestParallelismIndependence(t *testing.T) {
 		{Benchmark: "fft", Cores: 4, Technique: ptbsim.TwoLevel},
 	}
 	digests := func(par int) []string {
-		opts := []ptbsim.Option{
+		e := ptbsim.NewExperiment(
 			ptbsim.WithScale(0.05),
 			ptbsim.WithParallelism(par),
 			ptbsim.WithInvariants(),
-		}
-		if par > 1 {
-			opts = append(opts, ptbsim.WithIntraParallel(par))
-		}
-		e := ptbsim.NewExperiment(opts...)
+		)
 		results, err := e.RunAll(context.Background(), cfgs)
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)

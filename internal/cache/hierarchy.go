@@ -73,17 +73,6 @@ func NewHierarchy(n int, q *eventq.Queue, meter *power.Meter, net *mesh.Mesh, cf
 	return h
 }
 
-// InstallPorts replaces every L1's front-side access to the event queue and
-// mesh with the given per-core port (see FrontPort). The home banks and the
-// memory keep their direct wiring — they only act during the serial event
-// phase, where the ports would pass through anyway.
-func (h *Hierarchy) InstallPorts(port func(core int) FrontPort) {
-	for i := 0; i < h.N; i++ {
-		h.L1I[i].SetPort(port(i))
-		h.L1D[i].SetPort(port(i))
-	}
-}
-
 // cacheAt returns the L1 identified by id (which must live at the given
 // node).
 func (h *Hierarchy) cacheAt(id CacheID) *L1 {

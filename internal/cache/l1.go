@@ -72,36 +72,16 @@ type retryReq struct {
 // DefaultMSHRs is the number of outstanding misses an L1 supports.
 const DefaultMSHRs = 8
 
-// FrontPort is the L1's gateway to the shared event queue and mesh. The
-// concrete queue and mesh satisfy it directly (the default wiring); the
-// intra-run partition layer substitutes per-core staging ports that spool
-// tick-phase operations until the quantum boundary, which is what lets
-// cores tick on separate goroutines without touching shared structures.
-type FrontPort interface {
-	// After schedules fn to run delay cycles from now.
-	After(delay int64, fn func())
-	// Send injects a message of the given flit count into the mesh.
-	Send(src, dst, flits int, payload any)
-}
-
-// frontScheduler and frontSender are the two halves of FrontPort; the L1
-// holds them separately so the default wiring can keep handing it the
-// concrete queue and mesh.
-type frontScheduler interface {
-	After(delay int64, fn func())
-}
-type frontSender interface {
-	Send(src, dst, flits int, payload any)
-}
-
 // L1 is one private first-level cache (instruction or data). All timing is
 // driven by the shared event queue; completion is signalled through the
-// callbacks passed to Access.
+// callbacks passed to Access. Hits schedule their completion on the queue
+// and misses inject into the mesh as the access happens, so within a cycle
+// both follow the cores' tick order (ascending, see sim.System.Step).
 type L1 struct {
 	id    CacheID
-	q     frontScheduler
+	q     *eventq.Queue
 	meter *power.Meter
-	net   frontSender
+	net   *mesh.Mesh
 	// home maps a line to its home bank's mesh node.
 	home func(line uint64) int
 
@@ -321,15 +301,6 @@ func (c *L1) maybePrefetch(line uint64) {
 
 func (c *L1) send(dstNode, flits int, payload any) {
 	c.net.Send(c.id.Core(), dstNode, flits, payload)
-}
-
-// SetPort redirects the L1's event scheduling and mesh injection through p.
-// Installed once at system construction, before any access; the partition
-// layer's ports pass straight through outside the tick phase, so protocol
-// receives and end-of-run drains behave identically.
-func (c *L1) SetPort(p FrontPort) {
-	c.q = p
-	c.net = p
 }
 
 // Receive dispatches a protocol message addressed to this cache.

@@ -76,7 +76,7 @@ func (l Latency) Total() int64 { return l.Send + l.Process + l.Return }
 // The paper's synthesis table stops at 16 cores; the 64- and 256-core rows
 // extrapolate by mesh diameter (send/return wires grow with the chip edge,
 // the balancer's adder tree by log of the core count), enabling the
-// post-paper big-chip configurations the partition layer unlocks.
+// post-paper big-chip configurations.
 func LatencyFor(nCores int) Latency {
 	switch {
 	case nCores <= 4:

@@ -145,20 +145,17 @@ func ResumeContext(ctx context.Context, cfg Config, snap *ckpt.Snapshot) (*metri
 			break
 		}
 		if s.done() || s.cycle >= s.cfg.MaxCycles {
-			s.par.Stop()
 			return nil, fmt.Errorf("sim: %w: run ends at cycle %d, before the snapshot cycle %d",
 				ckpt.ErrStateMismatch, s.cycle, snap.Cycle)
 		}
 		if s.cycle%cancelCheckCycles == 0 {
 			if err := ctx.Err(); err != nil {
-				s.par.Stop()
 				return nil, fmt.Errorf("sim: %s/%d/%s resume cancelled at cycle %d: %w",
 					s.cfg.Benchmark.Name, s.cfg.Cores, s.cfg.Technique, s.cycle, err)
 			}
 		}
 	}
 	if got := s.StateHash(); got != snap.State {
-		s.par.Stop()
 		return nil, fmt.Errorf("sim: %w: replayed state diverges at cycle %d (snapshot written by a different build or config?)",
 			ckpt.ErrStateMismatch, snap.Cycle)
 	}

@@ -34,28 +34,24 @@ func ckptConfig(t *testing.T, tech Technique, faults *fault.Spec) Config {
 // TestCheckpointRoundTripIdentity is the tentpole guarantee at the sim
 // layer: run fresh, then restore from a mid-run snapshot in a new System
 // and run to completion — the results must be deep-equal, including
-// every float. Swept across techniques, fault injection, and intra-run
-// tile parallelism.
+// every float. Swept across techniques and fault injection.
 func TestCheckpointRoundTripIdentity(t *testing.T) {
 	cells := []struct {
 		name   string
 		tech   Technique
 		faults *fault.Spec
-		par    int
 	}{
-		{"none", TechNone, nil, 1},
-		{"ptb", TechPTB, nil, 1},
-		{"ptb-par4", TechPTB, nil, 4},
-		{"2level", Tech2Level, nil, 1},
-		{"maxbips", TechMaxBIPS, nil, 1},
-		{"spingate", TechPTBSpinGate, nil, 1},
-		{"ptb-faulted", TechPTB, &fault.Spec{Seed: 42, TokenDrop: 0.2, SensorNoise: 0.02}, 1},
+		{"none", TechNone, nil},
+		{"ptb", TechPTB, nil},
+		{"2level", Tech2Level, nil},
+		{"maxbips", TechMaxBIPS, nil},
+		{"spingate", TechPTBSpinGate, nil},
+		{"ptb-faulted", TechPTB, &fault.Spec{Seed: 42, TokenDrop: 0.2, SensorNoise: 0.02}},
 	}
 	for _, cell := range cells {
 		t.Run(cell.name, func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := ckptConfig(t, cell.tech, cell.faults)
-			cfg.IntraParallel = cell.par
 
 			fresh, err := RunContext(context.Background(), cfg)
 			if err != nil {

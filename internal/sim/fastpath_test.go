@@ -102,50 +102,43 @@ func TestFastPathEngages(t *testing.T) {
 	}
 }
 
-// TestStepZeroAllocSteadyState pins the ISSUE-4 acceptance criterion:
-// System.Step performs zero allocations per cycle in the steady state with
-// invariants off. The steady state measured is the quiescent one — workload
-// drained, every per-run pool (event free-list, ROB waiter arrays, balancer
-// scratch, mesh message records, partition staging spools) warmed by a full
-// run — where Step still executes its entire tail: the skip-ahead gate,
-// event queue advance, core tick replay, leakage metering, budget refresh,
-// controller tick (including a live PTB balancer), meter fold, collector
-// and thermal recording. The par-intra>1 variants additionally cover the
-// tile-worker handshake: waking the workers, the quantum barrier and the
-// staged-spool drain must all run allocation-free too (AllocsPerRun reads
-// the global allocation counter, so worker-goroutine allocations count).
+// TestStepZeroAllocSteadyState pins that System.Step performs zero
+// allocations per cycle in the steady state with invariants off. The
+// steady state measured is the quiescent one — workload drained, every
+// per-run pool (event free-list, ROB waiter arrays, balancer scratch, mesh
+// message records) warmed by a full run — where Step still executes its
+// entire tail: the skip-ahead gate, event queue advance, core tick replay,
+// leakage metering, budget refresh, controller tick (including a live PTB
+// balancer), meter fold, collector and thermal recording.
 func TestStepZeroAllocSteadyState(t *testing.T) {
 	for _, tech := range []Technique{TechNone, TechPTB} {
-		for _, tiles := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/par-intra=%d", tech, tiles), func(t *testing.T) {
-				spec, ok := workload.ByName("ocean")
-				if !ok {
-					t.Fatal("ocean missing from catalog")
-				}
-				cfg := Config{
-					Benchmark:     spec,
-					Cores:         4,
-					Technique:     tech,
-					Policy:        core.PolicyToAll,
-					WorkloadScale: 0.05,
-					MaxCycles:     3_000_000,
-					IntraParallel: tiles,
-				}
-				s, err := NewSystem(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for !s.done() && s.cycle < cfg.MaxCycles {
-					s.Step()
-				}
-				if !s.done() {
-					t.Fatal("workload did not drain")
-				}
-				allocs := testing.AllocsPerRun(2000, s.Step)
-				if allocs != 0 {
-					t.Fatalf("System.Step allocates %.2f objects/cycle in steady state, want 0", allocs)
-				}
-			})
-		}
+		t.Run(string(tech), func(t *testing.T) {
+			spec, ok := workload.ByName("ocean")
+			if !ok {
+				t.Fatal("ocean missing from catalog")
+			}
+			cfg := Config{
+				Benchmark:     spec,
+				Cores:         4,
+				Technique:     tech,
+				Policy:        core.PolicyToAll,
+				WorkloadScale: 0.05,
+				MaxCycles:     3_000_000,
+			}
+			s, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for !s.done() && s.cycle < cfg.MaxCycles {
+				s.Step()
+			}
+			if !s.done() {
+				t.Fatal("workload did not drain")
+			}
+			allocs := testing.AllocsPerRun(2000, s.Step)
+			if allocs != 0 {
+				t.Fatalf("System.Step allocates %.2f objects/cycle in steady state, want 0", allocs)
+			}
+		})
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"ptbsim/internal/mesh"
 	"ptbsim/internal/metrics"
 	"ptbsim/internal/obs"
-	"ptbsim/internal/partition"
 	"ptbsim/internal/power"
 	"ptbsim/internal/syncprim"
 	"ptbsim/internal/thermal"
@@ -80,12 +79,10 @@ type Config struct {
 	// scalability scheme for >32-core CMPs).
 	PTBClusterSize int
 
-	// IntraParallel shards the chip into that many tiles stepped by
-	// separate goroutines inside the sync quantum (see internal/partition).
-	// It must divide Cores; 0 selects the default 1 (serial). Results are
-	// bit-identical at every legal value — the conformance suite and the
-	// golden matrix pin this — so it is purely a wall-clock knob for big
-	// chips.
+	// IntraParallel is ignored: every run steps its cores serially.
+	//
+	// Deprecated: intra-run tile parallelism was removed (DESIGN.md §13).
+	// The field stays only so existing callers keep compiling.
 	IntraParallel int
 
 	// Observe, when non-nil, wires the epoch-sampled telemetry recorder
@@ -143,9 +140,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxCycles == 0 {
 		c.MaxCycles = 50_000_000
 	}
-	if c.IntraParallel == 0 {
-		c.IntraParallel = 1
-	}
 	if c.CPU.ROBSize == 0 {
 		c.CPU = cpu.DefaultConfig()
 	}
@@ -169,7 +163,6 @@ type System struct {
 	meter  *power.Meter
 	hier   *cache.Hierarchy
 	net    *mesh.Mesh
-	par    *partition.Run
 	sync   *syncprim.Table
 	cores  []*cpu.Core
 	gens   []*workload.Generator
@@ -220,17 +213,6 @@ func NewSystem(cfg Config) (*System, error) {
 	s.hier = cache.NewHierarchy(n, s.q, s.meter, s.net, cfg.Cache)
 	s.sync = syncprim.NewTable(n, spec.NumLocks, 1)
 
-	// The intra-run partition layer. Every run goes through it — serial
-	// runs use a single tile — so the tick phase always stages its event
-	// and mesh traffic and drains it in ascending core order: the one code
-	// path is its own conformance proof (see internal/partition).
-	par, err := partition.New(n, cfg.IntraParallel, s.q, s.net)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	s.par = par
-	s.hier.InstallPorts(func(core int) cache.FrontPort { return s.par.Port(core) })
-
 	tm := power.NewTokenModel()
 	if cfg.TokenGroups > 0 {
 		tm = power.NewTokenModelK(cfg.TokenGroups)
@@ -241,10 +223,6 @@ func NewSystem(cfg Config) (*System, error) {
 		s.gens = append(s.gens, gen)
 		s.cores = append(s.cores, cpu.New(i, cfg.CPU, s.meter, tm, mem, s.sync, gen))
 	}
-	s.par.Bind(
-		func(i int) { s.cores[i].Tick() },
-		func(i int) { s.cores[i].TickInert() },
-	)
 
 	// The budget is a fraction of the processor's rated peak (§III.C);
 	// the rated peak derates the structural worst case per
@@ -545,9 +523,6 @@ func (s *System) done() bool {
 // skip-ahead fast path (diagnostics; not part of any digest).
 func (s *System) FastCycles() int64 { return s.fastCycles }
 
-// IntraParallel reports the tile count the chip is sharded into.
-func (s *System) IntraParallel() int { return s.par.Tiles() }
-
 // coresQuiescent reports whether every core proves its next tick inert.
 func (s *System) coresQuiescent() bool {
 	for _, c := range s.cores {
@@ -560,18 +535,14 @@ func (s *System) coresQuiescent() bool {
 
 // Step advances the simulation by exactly one global cycle.
 //
-// The cycle is a strict two-phase schedule. The *event phase* runs the
-// shared event queue up to the cycle on the coordinating goroutine: mesh
-// hops, protocol handlers, memory replies — everything that crosses tile
-// boundaries. The *tick phase* walks every core's pipeline through the
-// partition layer: each tile's cores tick on their own goroutine (or all
-// on the coordinator when IntraParallel is 1), touching only tile-local
-// state; the L1s' event-queue and mesh injections are spooled by per-core
-// ports and drained in ascending core order at the quantum barrier, which
-// reproduces the serial schedule's merged order exactly. Everything after
-// the tick phase (leakage, budget refresh, sensor perturbation, controller
-// tick, meter fold, collector/thermal recording, telemetry, invariants)
-// runs serially on the coordinator.
+// The event queue first runs up to the cycle: mesh hops, protocol
+// handlers, memory replies. Then every core ticks once, in ascending core
+// order. A core's L1 hits schedule their completions and its misses inject
+// into the mesh in place, so the merged order of event-queue insertions,
+// link reservations, fault-RNG draws and NoC energy charges is the order
+// the cores issue them in. Everything after the core loop (leakage, budget
+// refresh, sensor perturbation, controller tick, meter fold,
+// collector/thermal recording, telemetry, invariants) follows.
 //
 // The idle skip-ahead: when no event is due this cycle and every core
 // reports a provably inert tick (cpu.NextWake > 0), the per-core pipeline
@@ -590,7 +561,13 @@ func (s *System) Step() {
 	if fast {
 		s.fastCycles++
 	}
-	s.par.Cycle(fast)
+	for _, c := range s.cores {
+		if fast {
+			c.TickInert()
+		} else {
+			c.Tick()
+		}
+	}
 	for i, c := range s.cores {
 		if c.Knobs().SleepGate {
 			s.meter.Add(i, power.EvLeakageSleep, 1)
@@ -660,11 +637,6 @@ func (s *System) runFrom(ctx context.Context, resumed bool) (*metrics.RunResult,
 		return nil, fmt.Errorf("sim: Run called twice")
 	}
 	s.stopped = true
-	// Park the tile workers once the run ends (including cancellation and
-	// invariant-failure returns) so sweeps never accumulate goroutines; the
-	// partition layer keeps passing events through afterwards, which the
-	// final quiescent-MOESI drain needs.
-	defer s.par.Stop()
 	run := true
 	if resumed {
 		if s.done() {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 
 	"ptbsim/internal/core"
@@ -61,41 +60,32 @@ func BenchmarkSimStepTelemetry(b *testing.B) {
 	benchSteps(b, false, &obs.Config{Every: obs.DefaultEvery, Ring: 1})
 }
 
-// BenchmarkSimStepBigChip is the intra-run scaling benchmark: the per-cycle
-// cost of a live 64-core PTB chip as the tile count grows. par-intra=1 is
-// the serial baseline. On a 2-vCPU Xeon VM every parallel variant measured
-// 30–45% slower than it (DESIGN.md §13); nothing gates a speedup.
-// Results are bit-identical across the variants (the conformance suite
-// pins that), so this measures wall-clock only.
+// BenchmarkSimStepBigChip is the per-cycle cost of a live 64-core PTB
+// chip, the big-chip counterpart of BenchmarkSimStep.
 func BenchmarkSimStepBigChip(b *testing.B) {
 	spec, ok := workload.ByName("ocean")
 	if !ok {
 		b.Fatal("ocean missing from catalog")
 	}
-	for _, tiles := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("par-intra=%d", tiles), func(b *testing.B) {
-			cfg := Config{
-				Benchmark:     spec,
-				Cores:         64,
-				Technique:     TechPTB,
-				Policy:        core.PolicyDynamic,
-				WorkloadScale: 0.05,
-				IntraParallel: tiles,
-			}
-			s, err := NewSystem(cfg)
-			if err != nil {
+	cfg := Config{
+		Benchmark:     spec,
+		Cores:         64,
+		Technique:     TechPTB,
+		Policy:        core.PolicyDynamic,
+		WorkloadScale: 0.05,
+	}
+	s, err := NewSystem(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if s.RunCycles(1) {
+			b.StopTimer()
+			if s, err = NewSystem(cfg); err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if s.RunCycles(1) {
-					b.StopTimer()
-					if s, err = NewSystem(cfg); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-				}
-			}
-		})
+			b.StartTimer()
+		}
 	}
 }

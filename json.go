@@ -156,7 +156,10 @@ func (r *Result) UnmarshalJSON(data []byte) error {
 // name, Faults as its canonical spec string (a *string so the zero spec
 // "" survives omitempty and stays distinct from nil). Observe is runtime
 // wiring — an interface holding live sinks — and deliberately has no wire
-// form; it is dropped on marshal and left nil on unmarshal.
+// form; it is dropped on marshal and left nil on unmarshal. The marshaled
+// form is also the Experiment cache key, so this struct is the one list of
+// result-determining fields: a field that can change a Result must be
+// here, and one that cannot must not.
 type configJSON struct {
 	Benchmark             string  `json:"benchmark"`
 	Cores                 int     `json:"cores,omitempty"`

@@ -147,12 +147,10 @@ type Config struct {
 	// machine, bit-identically. Faults compose with CheckInvariants: every
 	// conservation invariant keeps holding under injection.
 	Faults *FaultSpec
-	// IntraParallel shards the simulated chip across that many tiles, each
-	// stepped by its own goroutine inside every cycle's tick phase (see
-	// DESIGN.md §13). It must be a divisor of the core count; 0 and 1 both
-	// run serially. Results are bit-identical at every legal value — tile
-	// staging buffers are drained in fixed core order at the quantum
-	// barrier, so sharding is a wall-clock knob, never a model knob.
+	// IntraParallel is ignored: every run steps its cores serially.
+	//
+	// Deprecated: intra-run tile parallelism was removed (DESIGN.md §13).
+	// The field stays only so existing callers keep compiling.
 	IntraParallel int
 	// Observe, when non-nil, enables epoch-sampled telemetry: every
 	// Observe.Every cycles the run records one Sample (per-core power and
@@ -185,7 +183,6 @@ func (c Config) internal() (sim.Config, error) {
 		MaxCycles:      c.MaxCycles,
 		PTBClusterSize: c.PTBClusterSize,
 		Invariants:     c.CheckInvariants,
-		IntraParallel:  c.IntraParallel,
 	}
 	if c.Technique == "" {
 		cfg.Technique = sim.TechNone
