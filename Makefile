@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race check chaos golden sweep-check bench serve-smoke ckpt-conformance crash-e2e profile fuzz fmt vet loc bench-ab
+.PHONY: all build test test-short race check chaos golden sweep-check bench serve-smoke crash-e2e profile fuzz fmt vet loc bench-ab
 
 all: build test
 
@@ -22,9 +22,11 @@ race:
 	$(GO) test -race -shuffle=on -count=1 -short ./...
 
 # Full technique×benchmark matrix with the runtime invariant layer on,
+# the 64-/256-core big-chip matrix and the sweep-parallelism check,
 # failing on any conservation/consistency violation or digest drift.
+# The same test set as CI's invariant-matrix job.
 check:
-	$(GO) test -count=1 -run 'TestGoldenMatrixDigests|TestInvariants' -v .  ./internal/sim/
+	$(GO) test -count=1 -run 'TestGoldenMatrixDigests|TestGoldenMatrixBigChip|TestDigestParallelismIndependence|TestInvariants' -v ./...
 
 # Fault-rate sweep with the invariant layer on: the balancer's
 # energy-accounting error must grow monotonically with the token-drop
@@ -70,18 +72,8 @@ bench-ab:
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
-# Checkpoint/restore conformance (DESIGN.md §14): the short
-# snapshot-at-midpoint matrix under the race detector, then every golden
-# cell through the drill-and-resume cycle. CI's
-# checkpoint-conformance job runs exactly this.
-ckpt-conformance:
-	$(GO) test -race -count=1 -v \
-		-run 'TestCheckpointConformanceShort|TestCheckpointCrashDrillAndAutoResume|TestCheckpointFallsBackOnDamage|TestResumeContextExplicit|TestExperimentWithCheckpoint' .
-	$(GO) test -race -count=1 -v ./internal/ckpt/
-	$(GO) test -count=1 -v -run 'TestGoldenMatrixCheckpointConformance' .
-
-# Crash-recovery e2e: boot ptbserve with journal + snapshots, SIGKILL it
-# mid-sweep, reboot, and demand full recovery with byte-identical
+# Crash-recovery e2e: boot ptbserve with a store and job journal, SIGKILL
+# it mid-sweep, reboot, and demand full recovery with byte-identical
 # digests. CI's crash-e2e job runs this.
 crash-e2e:
 	sh scripts/crash_e2e.sh

@@ -47,9 +47,6 @@ func main() {
 		check    = flag.Bool("check", false, "enable runtime invariant checks on every run")
 		drainFor = flag.Duration("drain", 5*time.Minute, "graceful-shutdown budget for finishing accepted jobs")
 	)
-	var checkpoint ptbsim.CheckpointFlag
-	flag.Var(&checkpoint, "checkpoint",
-		"periodic per-run snapshots, e.g. every=1000000,dir=/var/lib/ptbsim/ckpt; interrupted runs resume from the latest snapshot on replay")
 	flag.Parse()
 
 	hub := serve.NewHub()
@@ -61,11 +58,6 @@ func main() {
 	}
 	if *check {
 		opts = append(opts, ptbsim.WithInvariants())
-	}
-	if checkpoint.Spec != nil {
-		ck := checkpoint.Spec.Checkpoint()
-		ck.StopAfter = 0 // the stop=K crash drill is for sweeps; a server never aborts its own runs
-		opts = append(opts, ptbsim.WithCheckpoint(ck))
 	}
 	var st *store.Store
 	if *storeDir != "" {
@@ -86,9 +78,8 @@ func main() {
 
 	// Crash recovery: with a persistent store, accepted jobs ride a
 	// write-ahead journal. Replay whatever the last process left pending —
-	// completed jobs resolve as cache hits, interrupted ones recompute (or
-	// resume from their latest snapshot with -checkpoint) — so a SIGKILL
-	// loses zero accepted jobs.
+	// completed jobs resolve as cache hits, interrupted ones recompute from
+	// cycle 0 — so a SIGKILL loses zero accepted jobs.
 	var jr *store.Journal
 	if *storeDir != "" {
 		var pending []store.JournalRecord

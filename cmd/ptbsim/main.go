@@ -49,9 +49,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.Var(&faults, "faults", "fault-injection spec, e.g. seed=42,drop=0.25,noise=0.02 (keys: seed, drop, delay, dup, delaycycles, stale, retries, backoff, stall, stallcycles, corrupt, noise, drift, glitch)")
 	var telemetry ptbsim.TelemetryFlag
 	fs.Var(&telemetry, "telemetry", "stream epoch telemetry, e.g. every=2048,out=run.jsonl (keys: every, ring, out, format)")
-	var checkpoint ptbsim.CheckpointFlag
-	fs.Var(&checkpoint, "checkpoint", "write crash-recovery snapshots and auto-resume, e.g. every=500000,dir=ckpt (keys: every, dir, stop)")
-	resume := fs.String("resume", "", "resume explicitly from this snapshot file and run to completion (ignores the workload flags; fails loudly on a corrupt or mismatched snapshot)")
 	if err := c.Parse(args); err != nil {
 		return c.Exit(err)
 	}
@@ -76,29 +73,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		CheckInvariants:       *check,
 		Faults:                faults.Spec,
 	}
-	if checkpoint.Spec != nil {
-		cfg.Checkpoint = checkpoint.Spec.Checkpoint()
-	}
 	obs, err := c.Telemetry(telemetry.Spec)
 	if err != nil {
 		return c.Exit(err)
 	}
 	cfg.Observe = obs
-
-	if *resume != "" {
-		// Snapshots are self-describing, so -resume needs no workload flags:
-		// the embedded config rides inside the file. -checkpoint may still set
-		// the cadence for further snapshots while the run completes.
-		var every int64
-		if checkpoint.Spec != nil {
-			every = checkpoint.Spec.Checkpoint().Every
-		}
-		r, err := ptbsim.ResumeContext(ctx, *resume, every)
-		if err != nil {
-			return c.Exit(err)
-		}
-		return c.Exit(emit(stdout, r, *asJSON))
-	}
 
 	r, err := ptbsim.RunContext(ctx, cfg)
 	if err != nil {

@@ -12,14 +12,13 @@
 //	ptbsweep -exp all -par 16          # same output, 16 parallel simulations
 //	ptbsweep -exp fig9 -cores 2,4,8    # restrict the core sweep
 //	ptbsweep -exp fig10 -benches ocean,radix,fft
-//	ptbsweep -exp all -resume sweep-ckpt   # restartable: finished cells persist
+//	ptbsweep -exp all -resume sweep-cells  # restartable: finished cells persist
 //
 // Workload scale trades fidelity for time: the paper shapes are stable
 // from about scale 0.25; scale 1.0 runs the full Table-2-calibrated sizes.
 //
-// Exit status: 0 on success, 1 on a failed run, 2 on a usage error, 3
-// when the -checkpoint crash drill (stop=K) aborted the sweep, and 130
-// when interrupted.
+// Exit status: 0 on success, 1 on a failed run, 2 on a usage error, and
+// 130 when interrupted.
 package main
 
 import (
@@ -59,9 +58,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.Var(&faults, "faults", "fault-injection spec applied to every run, e.g. seed=42,drop=0.25")
 	var telemetry ptbsim.TelemetryFlag
 	fs.Var(&telemetry, "telemetry", "stream epoch telemetry from every run into one merged feed, e.g. every=2048,out=sweep.jsonl")
-	var checkpoint ptbsim.CheckpointFlag
-	fs.Var(&checkpoint, "checkpoint", "make the sweep resumable through this directory, e.g. every=500000,dir=sweep-ckpt: finished cells persist and are skipped on restart, partial cells snapshot and resume (keys: every, dir, stop)")
-	resume := fs.String("resume", "", "resume the sweep saved in this directory (shorthand for -checkpoint dir=DIR at the default cadence)")
+	resume := fs.String("resume", "", "make the sweep restartable through this cell directory: finished cells persist there and are skipped on restart; an interrupted cell reruns from cycle 0")
 	if err := c.Parse(args); err != nil {
 		return c.Exit(err)
 	}
@@ -81,15 +78,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if faults.Spec != nil {
 		opts = append(opts, ptbsim.WithFaults(*faults.Spec))
 	}
-	if *resume != "" && checkpoint.Spec == nil {
-		checkpoint.Spec = &ptbsim.CheckpointSpec{Dir: *resume}
-	}
-	if checkpoint.Spec != nil {
+	if *resume != "" {
 		// One directory makes the whole sweep restartable: completed cells
-		// persist in the result store and are skipped, partial cells leave
-		// a snapshot and resume mid-run byte-identically.
-		ck := checkpoint.Spec.Checkpoint()
-		st, err := store.Open(ck.Dir)
+		// persist in the result store and are skipped on restart.
+		st, err := store.Open(*resume)
 		if err != nil {
 			return c.Exit(err)
 		}
@@ -97,9 +89,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "ptbsweep: %d unreadable cell files quarantined (recomputing those cells)\n", n)
 		}
 		if n := st.Len(); n > 0 && !*quiet {
-			fmt.Fprintf(stderr, "ptbsweep: resuming: %d completed cells loaded from %s\n", n, ck.Dir)
+			fmt.Fprintf(stderr, "ptbsweep: resuming: %d completed cells loaded from %s\n", n, *resume)
 		}
-		opts = append(opts, ptbsim.WithCache(st), ptbsim.WithCheckpoint(ck))
+		opts = append(opts, ptbsim.WithCache(st))
 		c.Defer(func() error {
 			// A lost cell write degrades the store, not the output.
 			if err := st.Err(); err != nil {

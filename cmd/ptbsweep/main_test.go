@@ -97,27 +97,6 @@ func TestSweepCellResume(t *testing.T) {
 	}
 }
 
-// TestSweepCrashDrill runs the stop=K drill: every cell aborts after its
-// first snapshot (exit 3), and rerunning the same command resumes them
-// to the output of an uninterrupted sweep.
-func TestSweepCrashDrill(t *testing.T) {
-	want, _, code := sweep(t)
-	if code != 0 {
-		t.Fatalf("reference sweep: exit %d", code)
-	}
-	ck := "every=20000,dir=" + t.TempDir() + ",stop=1"
-	if _, _, code := sweep(t, "-checkpoint", ck); code != 3 {
-		t.Fatalf("drill run: exit %d, want 3", code)
-	}
-	out, _, code := sweep(t, "-checkpoint", ck)
-	if code != 0 {
-		t.Fatalf("resumed run: exit %d", code)
-	}
-	if out != want {
-		t.Fatalf("resumed output differs from an uninterrupted sweep:\n%s\nwant:\n%s", out, want)
-	}
-}
-
 func TestSweepUsageErrors(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run(context.Background(), []string{"-exp", "fig99", "-q"}, &stdout, &stderr); code != 2 {

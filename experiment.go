@@ -42,7 +42,6 @@ type Experiment struct {
 	parallelism int
 	invariants  bool
 	faults      *FaultSpec
-	checkpoint  *Checkpoint
 	progress    func(Progress)
 	observer    Observer
 	obsEvery    int64
@@ -103,18 +102,6 @@ func WithFaults(spec FaultSpec) Option {
 // own.
 func WithProgress(fn func(Progress)) Option {
 	return func(e *Experiment) { e.progress = fn }
-}
-
-// WithCheckpoint arms crash-recovery snapshots on every run the
-// experiment executes whose config leaves Checkpoint nil: each run
-// periodically saves a snapshot under ck.Dir and resumes from it after a
-// crash, byte-identically (see Checkpoint; ck.StopAfter arms the crash
-// drill on every run). Snapshot files are keyed by the config's stable
-// wire JSON, and a run's snapshot is deleted when the run completes. Like
-// telemetry, checkpointing never enters the cache key — it cannot change
-// a result.
-func WithCheckpoint(ck *Checkpoint) Option {
-	return func(e *Experiment) { e.checkpoint = ck }
 }
 
 // WithObserver streams epoch telemetry from every run the experiment
@@ -199,19 +186,16 @@ func (e *Experiment) normalize(cfg Config) Config {
 	if cfg.Observe == nil && e.telemetry != nil {
 		cfg.Observe = e.telemetry
 	}
-	if cfg.Checkpoint == nil && e.checkpoint != nil {
-		cfg.Checkpoint = e.checkpoint
-	}
 	return cfg
 }
 
 // key canonicalizes a normalized config into the engine cache key: its
 // stable wire JSON (configJSON), which holds exactly the result-determining
 // fields and round-trips every float64 bit-exactly, so two configs share a
-// key only if they run the same simulation. Observe and Checkpoint have no
-// wire form and stay out: neither can change a result. Callers validate
-// cfg first, and Validate rejects the non-finite floats, the only values
-// json.Marshal refuses.
+// key only if they run the same simulation. Observe has no wire form and
+// stays out: it cannot change a result. Callers validate cfg first, and
+// Validate rejects the non-finite floats, the only values json.Marshal
+// refuses.
 func (e *Experiment) key(cfg Config) string {
 	b, err := json.Marshal(cfg)
 	if err != nil {

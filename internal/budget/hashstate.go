@@ -1,11 +1,11 @@
 package budget
 
-import "ptbsim/internal/ckpt"
+import "ptbsim/internal/statehash"
 
-// HashState folds the chip-wide budget state into h for checkpoint
+// HashState folds the chip-wide budget state into h for state
 // digests. Cores, Meter and Sync are hashed by their own packages. The
 // field order is append-only.
-func (st *ChipState) HashState(h *ckpt.Hasher) {
+func (st *ChipState) HashState(h *statehash.Hasher) {
 	h.WriteI64(st.Cycle)
 	h.WriteF64(st.GlobalBudgetPJ)
 	for i := 0; i < st.NCores; i++ {
@@ -19,7 +19,7 @@ func (st *ChipState) HashState(h *ckpt.Hasher) {
 
 // HashState folds the DVFS controller's window accumulators and governor
 // position into h.
-func (c *DVFSController) HashState(h *ckpt.Hasher) {
+func (c *DVFSController) HashState(h *statehash.Hasher) {
 	h.WriteString(c.name)
 	for _, a := range c.acc {
 		h.WriteF64(a)
@@ -32,7 +32,7 @@ func (c *DVFSController) HashState(h *ckpt.Hasher) {
 }
 
 // HashState folds the 2-level hybrid's state into h.
-func (t *TwoLevel) HashState(h *ckpt.Hasher) {
+func (t *TwoLevel) HashState(h *statehash.Hasher) {
 	t.DVFS.HashState(h)
 	for _, c := range t.techniqueCycles {
 		h.WriteI64(c)
@@ -40,7 +40,7 @@ func (t *TwoLevel) HashState(h *ckpt.Hasher) {
 }
 
 // HashState folds the MaxBIPS window state into h.
-func (m *MaxBIPS) HashState(h *ckpt.Hasher) {
+func (m *MaxBIPS) HashState(h *statehash.Hasher) {
 	for i := range m.accEst {
 		h.WriteF64(m.accEst[i])
 		h.WriteI64(m.lastRet[i])
@@ -51,4 +51,4 @@ func (m *MaxBIPS) HashState(h *ckpt.Hasher) {
 }
 
 // HashState of the no-control technique: stateless.
-func (None) HashState(h *ckpt.Hasher) {}
+func (None) HashState(h *statehash.Hasher) {}

@@ -1,13 +1,13 @@
 package cache
 
-import "ptbsim/internal/ckpt"
+import "ptbsim/internal/statehash"
 
-// HashState folds the whole memory system into h for checkpoint digests.
+// HashState folds the whole memory system into h for state digests.
 // Map-shaped state (MSHRs, writebacks, directory entries) is walked in
 // sorted line order; waiter/retry callbacks are represented by their
 // counts and flags (the closures themselves re-form deterministically on
 // replay). The field order is append-only (DESIGN.md §14).
-func (hr *Hierarchy) HashState(h *ckpt.Hasher) {
+func (hr *Hierarchy) HashState(h *statehash.Hasher) {
 	h.WriteInt(hr.N)
 	for _, l1 := range hr.L1I {
 		l1.hashState(h)
@@ -21,7 +21,7 @@ func (hr *Hierarchy) HashState(h *ckpt.Hasher) {
 	hr.Mem.HashState(h)
 }
 
-func (c *L1) hashState(h *ckpt.Hasher) {
+func (c *L1) hashState(h *statehash.Hasher) {
 	h.WriteInt(int(c.id))
 	h.WriteU64(c.tick)
 	for i := range c.lines {
@@ -34,7 +34,7 @@ func (c *L1) hashState(h *ckpt.Hasher) {
 		h.WriteU64(ln.lru)
 	}
 	h.WriteInt(len(c.mshrs))
-	for _, line := range ckpt.SortedKeys(c.mshrs) {
+	for _, line := range statehash.SortedKeys(c.mshrs) {
 		m := c.mshrs[line]
 		h.WriteU64(m.line)
 		h.WriteBool(m.wantX)
@@ -56,7 +56,7 @@ func (c *L1) hashState(h *ckpt.Hasher) {
 		h.WriteBool(c.pending[i].write)
 	}
 	h.WriteInt(len(c.wb))
-	for _, line := range ckpt.SortedKeys(c.wb) {
+	for _, line := range statehash.SortedKeys(c.wb) {
 		w := c.wb[line]
 		h.WriteU64(w.line)
 		h.WriteBool(w.dirty)
@@ -72,10 +72,10 @@ func (c *L1) hashState(h *ckpt.Hasher) {
 	h.WriteI64(c.prefetchUseful)
 }
 
-func (b *HomeBank) hashState(h *ckpt.Hasher) {
+func (b *HomeBank) hashState(h *statehash.Hasher) {
 	h.WriteInt(b.node)
 	h.WriteInt(len(b.lines))
-	for _, line := range ckpt.SortedKeys(b.lines) {
+	for _, line := range statehash.SortedKeys(b.lines) {
 		e := b.lines[line]
 		h.WriteU64(line)
 		h.WriteInt(int(e.state))
@@ -96,9 +96,9 @@ func (b *HomeBank) hashState(h *ckpt.Hasher) {
 
 // hashState writes every set's ways in set/way order, tag, valid bit and
 // LRU tick each, and zero ways for sets never filled. That is a dense tag
-// array's encoding, which snapshots and the pinned digests depend on
+// array's encoding, which the pinned digests depend on
 // (TestL2DataMatchesDense holds the two together).
-func (d *l2Data) hashState(h *ckpt.Hasher) {
+func (d *l2Data) hashState(h *statehash.Hasher) {
 	h.WriteU64(d.tick)
 	var untouched l2Line
 	for _, k := range d.slot {

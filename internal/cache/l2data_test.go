@@ -3,7 +3,7 @@ package cache
 import (
 	"testing"
 
-	"ptbsim/internal/ckpt"
+	"ptbsim/internal/statehash"
 	"ptbsim/internal/xrand"
 )
 
@@ -116,7 +116,7 @@ func (d *denseL2) insert(line uint64) {
 	d.lruTick[victim] = d.tick
 }
 
-func (d *denseL2) hashState(h *ckpt.Hasher) {
+func (d *denseL2) hashState(h *statehash.Hasher) {
 	h.WriteU64(d.tick)
 	for i := range d.tags {
 		h.WriteU64(d.tags[i])
@@ -163,7 +163,7 @@ func TestL2DataMatchesDense(t *testing.T) {
 					t.Fatalf("%d sets, op %d: hits/misses %d/%d, dense %d/%d",
 						sets, i, got.Hits(), got.Misses(), want.hits, want.misses)
 				}
-				hg, hw := ckpt.NewHasher(), ckpt.NewHasher()
+				hg, hw := statehash.NewHasher(), statehash.NewHasher()
 				got.hashState(hg)
 				want.hashState(hw)
 				if hg.Sum() != hw.Sum() {

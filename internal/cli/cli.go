@@ -7,7 +7,6 @@
 //	1    failure: a run failed, or a cleanup (closing -o, flushing the
 //	     telemetry feed) did
 //	2    usage error: bad flags, an unopenable -o or telemetry output
-//	3    the -checkpoint crash drill (stop=K) stopped the run
 //	130  interrupted by SIGINT/SIGTERM
 //
 // Every command has the same shape, so it can be driven in-process by
@@ -181,10 +180,6 @@ func (c *Cmd) Exit(err error) int {
 	case errors.Is(err, context.Canceled):
 		fmt.Fprintf(c.stderr, "%s: interrupted\n", c.name)
 		return 130
-	case errors.Is(err, ptbsim.ErrRunStopped):
-		fmt.Fprintf(c.stderr, "%s: crash drill stop: %v\n", c.name, err)
-		fmt.Fprintf(c.stderr, "%s: rerun with the same -checkpoint dir to resume\n", c.name)
-		return 3
 	}
 	fmt.Fprintln(c.stderr, err)
 	return 1

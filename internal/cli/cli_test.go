@@ -9,8 +9,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-
-	"ptbsim"
 )
 
 func TestExitStatus(t *testing.T) {
@@ -22,7 +20,6 @@ func TestExitStatus(t *testing.T) {
 		{flag.ErrHelp, 0},
 		{errors.New("boom"), 1},
 		{Usage(errors.New("bad flag")), 2},
-		{fmt.Errorf("run: %w", ptbsim.ErrRunStopped), 3},
 		{fmt.Errorf("run: %w", context.Canceled), 130},
 	} {
 		c := New("tool", io.Discard, io.Discard)

@@ -2,12 +2,12 @@ package core
 
 import (
 	"ptbsim/internal/budget"
-	"ptbsim/internal/ckpt"
+	"ptbsim/internal/statehash"
 )
 
 // hashInner covers the budget-package controllers a balancer can wrap
 // (the chip-level dispatch for the outer controller lives in sim).
-func hashInner(h *ckpt.Hasher, ctl budget.Controller) {
+func hashInner(h *statehash.Hasher, ctl budget.Controller) {
 	switch c := ctl.(type) {
 	case budget.None:
 		c.HashState(h)
@@ -20,11 +20,11 @@ func hashInner(h *ckpt.Hasher, ctl budget.Controller) {
 	}
 }
 
-// HashState folds the balancer's mutable state into h for checkpoint
+// HashState folds the balancer's mutable state into h for state
 // digests: the token ledger, in-flight batches, the spin detector, and
 // the fault-mode report view. The needy scratch list is excluded (it is
 // rebuilt from scratch each round). The field order is append-only.
-func (b *Balancer) HashState(h *ckpt.Hasher) {
+func (b *Balancer) HashState(h *statehash.Hasher) {
 	h.WriteInt(b.n)
 	hashInner(h, b.inner)
 	h.WriteInt(len(b.flights))
@@ -56,7 +56,7 @@ func (b *Balancer) HashState(h *ckpt.Hasher) {
 	h.WriteI64(b.staleFallbackCycles)
 }
 
-func (d *PowerPatternDetector) hashState(h *ckpt.Hasher) {
+func (d *PowerPatternDetector) hashState(h *statehash.Hasher) {
 	for i := 0; i < d.n; i++ {
 		h.WriteF64(d.mean[i])
 		h.WriteF64(d.dev[i])
@@ -68,7 +68,7 @@ func (d *PowerPatternDetector) hashState(h *ckpt.Hasher) {
 
 // HashState folds every per-cluster balancer into h. The lazily built
 // views mirror slices of the chip state, which is hashed separately.
-func (c *ClusteredBalancer) HashState(h *ckpt.Hasher) {
+func (c *ClusteredBalancer) HashState(h *statehash.Hasher) {
 	h.WriteBool(c.built)
 	hashInner(h, c.inner)
 	h.WriteInt(len(c.groups))
@@ -79,7 +79,7 @@ func (c *ClusteredBalancer) HashState(h *ckpt.Hasher) {
 
 // HashState folds the spin gate's sleep schedule into h on top of the
 // wrapped balancer.
-func (g *SpinGate) HashState(h *ckpt.Hasher) {
+func (g *SpinGate) HashState(h *statehash.Hasher) {
 	g.bal.HashState(h)
 	for _, s := range g.sleeping {
 		h.WriteBool(s)

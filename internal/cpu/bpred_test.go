@@ -3,7 +3,7 @@ package cpu
 import (
 	"testing"
 
-	"ptbsim/internal/ckpt"
+	"ptbsim/internal/statehash"
 	"ptbsim/internal/xrand"
 )
 
@@ -47,7 +47,7 @@ func (g *byteGshare) update(pc uint64, taken, predicted bool) {
 	g.history = ((g.history << 1) | b2u(taken)) & g.mask
 }
 
-func (g *byteGshare) hashState(h *ckpt.Hasher) {
+func (g *byteGshare) hashState(h *statehash.Hasher) {
 	h.WriteU64(g.history)
 	h.WriteI64(g.lookups)
 	h.WriteI64(g.correct)
@@ -99,7 +99,7 @@ func TestPackedGshareMatchesBytePerCounter(t *testing.T) {
 		if !saw[0] || !saw[3] {
 			t.Fatalf("bits %d: counters never saturated (saw 0: %v, saw 3: %v)", bits, saw[0], saw[3])
 		}
-		hg, hw := ckpt.NewHasher(), ckpt.NewHasher()
+		hg, hw := statehash.NewHasher(), statehash.NewHasher()
 		got.hashState(hg)
 		want.hashState(hw)
 		if hg.Sum() != hw.Sum() {

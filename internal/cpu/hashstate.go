@@ -1,15 +1,15 @@
 package cpu
 
 import (
-	"ptbsim/internal/ckpt"
 	"ptbsim/internal/isa"
+	"ptbsim/internal/statehash"
 )
 
 // HashState folds every mutable result-determining core field into h for
-// checkpoint digests (DESIGN.md §14). Pools and prebuilt callbacks
+// state digests (DESIGN.md §14). Pools and prebuilt callbacks
 // (cbFree, storeDrain, fetchFill) are excluded: recycled records carry no
 // information once free. The field order is append-only.
-func (c *Core) HashState(h *ckpt.Hasher) {
+func (c *Core) HashState(h *statehash.Hasher) {
 	h.WriteInt(c.id)
 
 	// ROB ring, oldest to youngest.
@@ -89,7 +89,7 @@ func (c *Core) HashState(h *ckpt.Hasher) {
 	h.WriteI64(c.stats.RMWCount)
 }
 
-func hashInst(h *ckpt.Hasher, in isa.Inst) {
+func hashInst(h *statehash.Hasher, in isa.Inst) {
 	h.WriteU64(in.PC)
 	h.WriteInt(int(in.Op))
 	h.WriteU64(in.Addr)
@@ -101,9 +101,9 @@ func hashInst(h *ckpt.Hasher, in isa.Inst) {
 	h.WriteBool(in.Serialize)
 }
 
-// hashState writes the counters unpacked, one byte each: snapshots and the
-// pinned digests depend on that encoding.
-func (b *gshare) hashState(h *ckpt.Hasher) {
+// hashState writes the counters unpacked, one byte each: the pinned
+// digests depend on that encoding.
+func (b *gshare) hashState(h *statehash.Hasher) {
 	h.WriteU64(b.history)
 	h.WriteI64(b.lookups)
 	h.WriteI64(b.correct)

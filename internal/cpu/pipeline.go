@@ -145,14 +145,14 @@ func (c *Core) tryIssue(e *robEntry) bool {
 	inst := &e.inst
 	switch inst.Op {
 	case isa.OpLoad:
-		c.issueCommon(e, fuIntAlu, false) // AGU energy, no FU slot held
+		c.issueCommon(fuIntAlu) // AGU energy, no FU slot held
 		e.state = stExecuting
 		c.stats.LoadCount++
 		c.mem.Read(c.id, inst.Addr, c.memCallback(e.seq, false))
 		return true
 	case isa.OpStore:
 		// Address generation only; data is written at commit.
-		c.issueCommon(e, fuIntAlu, false)
+		c.issueCommon(fuIntAlu)
 		e.state = stExecuting
 		e.doneTick = c.tick + 1
 		e.fuClass = -1
@@ -165,7 +165,7 @@ func (c *Core) tryIssue(e *robEntry) bool {
 		if e.seq != c.headSeq {
 			return false
 		}
-		c.issueCommon(e, fuIntAlu, false)
+		c.issueCommon(fuIntAlu)
 		e.state = stExecuting
 		c.stats.RMWCount++
 		c.mem.Write(c.id, inst.Addr, c.memCallback(e.seq, true))
@@ -178,7 +178,7 @@ func (c *Core) tryIssue(e *robEntry) bool {
 			}
 			c.fuFree[cls]--
 		}
-		c.issueCommon(e, cls, true)
+		c.issueCommon(cls)
 		e.state = stExecuting
 		e.fuClass = cls
 		lat := int64(1)
@@ -195,7 +195,7 @@ func (c *Core) tryIssue(e *robEntry) bool {
 }
 
 // issueCommon charges the issue-stage energy.
-func (c *Core) issueCommon(e *robEntry, cls int, holdsFU bool) {
+func (c *Core) issueCommon(cls int) {
 	c.meter.Add(c.id, power.EvIQWakeup, 1)
 	c.meter.Add(c.id, power.EvRegRead, 2)
 	switch cls {
@@ -208,7 +208,6 @@ func (c *Core) issueCommon(e *robEntry, cls int, holdsFU bool) {
 	case fuFPMul:
 		c.meter.Add(c.id, power.EvFUFPMul, 1)
 	}
-	_ = holdsFU
 }
 
 func fuClassOf(op isa.Op) int {

@@ -1,11 +1,11 @@
 package dvfs
 
-import "ptbsim/internal/ckpt"
+import "ptbsim/internal/statehash"
 
-// HashState folds the governor's ladder positions into h for checkpoint
+// HashState folds the governor's ladder positions into h for state
 // digests. The mode table is static configuration. The field order is
 // append-only.
-func (g *Governor) HashState(h *ckpt.Hasher) {
+func (g *Governor) HashState(h *statehash.Hasher) {
 	for _, i := range g.idx {
 		h.WriteInt(i)
 	}

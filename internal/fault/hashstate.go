@@ -1,12 +1,12 @@
 package fault
 
-import "ptbsim/internal/ckpt"
+import "ptbsim/internal/statehash"
 
 // HashState folds all four injection domains' rng streams and fired
-// counters into h for checkpoint digests — the injector is deterministic
+// counters into h for state digests — the injector is deterministic
 // state like any other component. Nil-safe: a run without fault
 // injection hashes nothing. The field order is append-only.
-func (i *Injector) HashState(h *ckpt.Hasher) {
+func (i *Injector) HashState(h *statehash.Hasher) {
 	if i == nil {
 		return
 	}

@@ -1,10 +1,10 @@
 package mem
 
-import "ptbsim/internal/ckpt"
+import "ptbsim/internal/statehash"
 
 // HashState folds the memory controller's mutable state into h for
-// checkpoint digests. The field order is append-only.
-func (m *Memory) HashState(h *ckpt.Hasher) {
+// state digests. The field order is append-only.
+func (m *Memory) HashState(h *statehash.Hasher) {
 	for _, f := range m.nextFree {
 		h.WriteI64(f)
 	}

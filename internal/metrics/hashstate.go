@@ -1,11 +1,11 @@
 package metrics
 
-import "ptbsim/internal/ckpt"
+import "ptbsim/internal/statehash"
 
 // HashState folds the collector's accumulated statistics into h for
-// checkpoint digests: everything that reaches Result digests is covered
+// state digests: everything that reaches Result digests is covered
 // by the accumulators below. The field order is append-only.
-func (c *Collector) HashState(h *ckpt.Hasher) {
+func (c *Collector) HashState(h *statehash.Hasher) {
 	h.WriteI64(c.cycles)
 	h.WriteF64(c.chipEnergyPJ)
 	h.WriteF64(c.aopbPJ)

@@ -1,10 +1,10 @@
 package power
 
-import "ptbsim/internal/ckpt"
+import "ptbsim/internal/statehash"
 
-// HashState folds the meter's full energy ledger into h for checkpoint
+// HashState folds the meter's full energy ledger into h for state
 // digests. The field order is append-only.
-func (m *Meter) HashState(h *ckpt.Hasher) {
+func (m *Meter) HashState(h *statehash.Hasher) {
 	for i := 0; i < m.nCores; i++ {
 		h.WriteF64(m.vScaleSq[i])
 		h.WriteF64(m.vScaleLeak[i])
@@ -20,7 +20,7 @@ func (m *Meter) HashState(h *ckpt.Hasher) {
 }
 
 // HashState folds the Power Token History Table into h.
-func (t *PTHT) HashState(h *ckpt.Hasher) {
+func (t *PTHT) HashState(h *statehash.Hasher) {
 	for _, e := range t.entries {
 		h.WriteU64(uint64(e))
 	}
@@ -28,7 +28,7 @@ func (t *PTHT) HashState(h *ckpt.Hasher) {
 
 // HashState folds the sensor drift random walk into h. Nil-safe: a run
 // without fault injection has no sensor bank.
-func (s *NoisySensor) HashState(h *ckpt.Hasher) {
+func (s *NoisySensor) HashState(h *statehash.Hasher) {
 	if s == nil {
 		return
 	}

@@ -73,8 +73,11 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // successfully submitted configuration is journaled (fsync'd) before the
 // HTTP acknowledgment, and marked done once its result is in the cache.
 // A SIGKILL'd server therefore reboots knowing exactly which accepted
-// jobs never completed — feed them back through ReplayJournal. Call
-// before serving requests; nil detaches.
+// jobs never completed — feed them back through ReplayJournal. Once a
+// journal write fails the journal latches the error: jobs are still
+// answered correctly, but later acknowledgments are not durable, and
+// /v1/stats reports the error as journal_error. Call before serving
+// requests; nil detaches.
 func (s *Server) AttachJournal(jr *store.Journal) { s.jr = jr }
 
 // journalAccept records an accepted job in the journal — before any

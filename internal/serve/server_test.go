@@ -425,3 +425,53 @@ func TestJournalReplayRecoversInterruptedJob(t *testing.T) {
 		t.Fatal("replayed job's result not served from cache")
 	}
 }
+
+// TestJournalWriteFailureDegrades pins the degraded mode of a failing
+// journal: once an accept write fails, the run is still answered with
+// the result a fresh run computes, and /v1/stats reports the latched
+// journal error (the acknowledgment is then not durable).
+func TestJournalWriteFailureDegrades(t *testing.T) {
+	dir := t.TempDir()
+	jr, _, err := store.OpenJournal(filepath.Join(dir, "jobs.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := newTestServer(t, dir)
+	srv.AttachJournal(jr)
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := ptbsim.Config{Benchmark: "fft", Cores: 2, Technique: ptbsim.None}
+	resp := postJSON(t, ts.URL+"/v1/runs", runRequest{Config: cfg})
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200 despite the failed journal write", resp.StatusCode)
+	}
+	var rr runResponse
+	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+		t.Fatal(err)
+	}
+	fresh := cfg
+	fresh.WorkloadScale = 0.02 // newTestServer's WithScale
+	want, err := ptbsim.RunContext(context.Background(), fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr.Cached || rr.Digest != fragmentOf(want) {
+		t.Fatalf("degraded run: cached=%v digest=%q, want a fresh run's %q", rr.Cached, rr.Digest, fragmentOf(want))
+	}
+
+	stats, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stats.Body.Close()
+	var st statsJSON
+	if err := json.NewDecoder(stats.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.JournalError == "" {
+		t.Fatal("/v1/stats reports no journal_error after a failed accept write")
+	}
+}

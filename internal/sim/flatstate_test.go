@@ -5,8 +5,8 @@ import (
 	"runtime"
 	"testing"
 
-	"ptbsim/internal/ckpt"
 	"ptbsim/internal/core"
+	"ptbsim/internal/statehash"
 )
 
 // TestNewSystemAllocs bounds the heap allocations of building a 4-core
@@ -61,12 +61,13 @@ func TestNewSystemBytes(t *testing.T) {
 	}
 }
 
-// TestMidRunHashStatePinned pins the checkpoint digests of the workload
+// TestMidRunHashStatePinned pins the state digests of the workload
 // generators, of the memory hierarchy (L1 lines, MSHRs, directory, L2
-// tag arrays) and of the whole system, stopped mid-run. The values were recorded
-// before the tag arrays and branch tables were flattened: snapshots
-// written by either layout must keep resuming, so the encodings may not
-// move.
+// tag arrays) and of the whole system, stopped mid-run. The values were
+// recorded before the tag arrays and branch tables were flattened. They
+// protect the per-epoch digest trail (ROADMAP item 4): a trail recorded
+// by one build is compared against another, so the encodings may not
+// move unless the change is justified and the trail re-recorded.
 func TestMidRunHashStatePinned(t *testing.T) {
 	cfg := tiny("raytrace", 4, TechPTB, core.PolicyToAll)
 	cfg.WorkloadScale = 0.5
@@ -77,11 +78,11 @@ func TestMidRunHashStatePinned(t *testing.T) {
 	if s.RunCycles(100_000) {
 		t.Fatal("workload finished before the snapshot cycle")
 	}
-	gen := ckpt.NewHasher()
+	gen := statehash.NewHasher()
 	for _, g := range s.gens {
 		g.HashState(gen)
 	}
-	hier := ckpt.NewHasher()
+	hier := statehash.NewHasher()
 	s.hier.HashState(hier)
 	for _, c := range []struct {
 		name string

@@ -10,7 +10,6 @@ import (
 
 	"ptbsim/internal/budget"
 	"ptbsim/internal/cache"
-	"ptbsim/internal/ckpt"
 	"ptbsim/internal/core"
 	"ptbsim/internal/cpu"
 	"ptbsim/internal/dvfs"
@@ -101,14 +100,6 @@ type Config struct {
 	// the un-faulted run bit for bit (the golden tests rely on this).
 	Faults *fault.Spec
 
-	// Checkpoint, when non-nil with Every > 0, writes a periodic snapshot
-	// of the run (internal/ckpt): every Every cycles the full simulator
-	// state is digested and an atomic, checksummed snapshot file lands in
-	// Checkpoint.Dir. Snapshots are passive — a checkpointed run is
-	// bit-identical to an unobserved one — and disabled runs pay one nil
-	// check per cycle. Restore goes through ResumeContext.
-	Checkpoint *ckpt.Plan
-
 	// Invariants enables the runtime invariant layer: conservation-law and
 	// consistency checks evaluated every InvariantEpoch cycles and once more
 	// at run end. A violation fails the run with an error wrapping
@@ -186,13 +177,6 @@ type System struct {
 	stopped    bool
 	fastOff    bool  // test hook: force every cycle down the full-tick path
 	fastCycles int64 // cycles advanced via the inert fast path
-
-	// Checkpointing (nil ck = off, the default: one nil check per cycle).
-	ck        *ckpt.Plan
-	ckNext    int64 // next snapshot cycle
-	ckWritten int   // snapshots written by this process
-	ckErr     error // first write failure; latches and disables (degraded)
-	ckStop    bool  // crash drill: Plan.StopAfter snapshots reached
 }
 
 // NewSystem builds a system from the config.
@@ -317,10 +301,6 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.Invariants {
 		s.inv = invariant.New(cfg.InvariantEpoch)
 		s.registerInvariants()
-	}
-	if cfg.Checkpoint != nil && cfg.Checkpoint.Every > 0 {
-		s.ck = cfg.Checkpoint
-		s.ckNext = cfg.Checkpoint.Every
 	}
 	return s, nil
 }
@@ -597,9 +577,6 @@ func (s *System) Step() {
 		s.obs.Tick(s.cycle)
 	}
 	s.inv.Tick(s.cycle)
-	if s.ck != nil {
-		s.tickCheckpoint()
-	}
 }
 
 // cancelCheckCycles is how often the cycle loop polls the context: every
@@ -624,35 +601,12 @@ func (s *System) Run() *metrics.RunResult {
 // returns an error wrapping ctx.Err(); the partially advanced system is
 // then spent and cannot be resumed.
 func (s *System) RunContext(ctx context.Context) (*metrics.RunResult, error) {
-	return s.runFrom(ctx, false)
-}
-
-// runFrom is the run loop shared by fresh runs and checkpoint restores.
-// A resumed system is already advanced to its snapshot cycle, which may
-// itself be the run's final cycle — so resumed runs re-check the exit
-// conditions before stepping again, keeping the total Step count exactly
-// equal to an uninterrupted run's.
-func (s *System) runFrom(ctx context.Context, resumed bool) (*metrics.RunResult, error) {
 	if s.stopped {
 		return nil, fmt.Errorf("sim: Run called twice")
 	}
 	s.stopped = true
-	run := true
-	if resumed {
-		if s.done() {
-			run = false
-		} else if s.cycle >= s.cfg.MaxCycles {
-			s.hitMax = true
-			run = false
-		}
-	}
-	for run {
+	for {
 		s.Step()
-		if s.ckStop {
-			return nil, fmt.Errorf("sim: %s/%d/%s: %w (%d snapshots, cycle %d)",
-				s.cfg.Benchmark.Name, s.cfg.Cores, s.cfg.Technique,
-				ckpt.ErrStopped, s.ckWritten, s.cycle)
-		}
 		if s.done() {
 			break
 		}

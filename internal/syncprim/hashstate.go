@@ -1,10 +1,10 @@
 package syncprim
 
-import "ptbsim/internal/ckpt"
+import "ptbsim/internal/statehash"
 
 // HashState folds the chip's logical synchronization state into h for
-// checkpoint digests. The field order is append-only.
-func (t *Table) HashState(h *ckpt.Hasher) {
+// state digests. The field order is append-only.
+func (t *Table) HashState(h *statehash.Hasher) {
 	for i := range t.locks {
 		l := &t.locks[i]
 		h.WriteBool(l.held)

@@ -1,10 +1,10 @@
 package thermal
 
-import "ptbsim/internal/ckpt"
+import "ptbsim/internal/statehash"
 
 // HashState folds the thermal RC state and its statistics into h for
-// checkpoint digests. The field order is append-only.
-func (m *Model) HashState(h *ckpt.Hasher) {
+// state digests. The field order is append-only.
+func (m *Model) HashState(h *statehash.Hasher) {
 	for i := 0; i < m.nCores; i++ {
 		h.WriteF64(m.tempC[i])
 		h.WriteF64(m.accPJ[i])

@@ -1,13 +1,13 @@
 package workload
 
-import "ptbsim/internal/ckpt"
+import "ptbsim/internal/statehash"
 
 // HashState folds one generator thread's mutable state into h for
-// checkpoint digests: the rng stream, the block machine, the address
+// state digests: the rng stream, the block machine, the address
 // cursors, and every static branch's pattern position (in PC order).
 // Spec-derived tables are static and excluded. The field order is
 // append-only.
-func (g *Generator) HashState(h *ckpt.Hasher) {
+func (g *Generator) HashState(h *statehash.Hasher) {
 	h.WriteInt(g.thread)
 	h.WriteU64(g.rng.State())
 	h.WriteInt(int(g.state))

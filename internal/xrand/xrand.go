@@ -109,6 +109,6 @@ func (r *Rand) Split() *Rand {
 	return New(r.Uint64() ^ 0xD1B54A32D192ED03)
 }
 
-// State exposes the generator's internal state word for checkpoint
+// State exposes the generator's internal state word for state
 // digests. It must never feed back into workload synthesis.
 func (r *Rand) State() uint64 { return r.state }

@@ -160,12 +160,17 @@ type Config struct {
 	// digests are bit-identical with it on or off — and a nil Observe costs
 	// one nil check per cycle. See Telemetry and the bundled observers.
 	Observe *Telemetry
-	// Checkpoint, when non-nil with Every > 0, writes periodic crash-recovery
-	// snapshots and makes RunContext resume from the latest one automatically
-	// (see Checkpoint). Like Observe, it is passive and has no wire form: a
-	// checkpointed run's Result is bit-identical to a plain run's.
+	// Checkpoint is ignored: runs are never snapshotted mid-run.
+	//
+	// Deprecated: mid-run checkpoints were removed (DESIGN.md §14). The
+	// field stays only so existing callers keep compiling.
 	Checkpoint *Checkpoint
 }
+
+// Checkpoint is the type of the ignored Config.Checkpoint field.
+//
+// Deprecated: mid-run checkpoints were removed (DESIGN.md §14).
+type Checkpoint struct{}
 
 func (c Config) internal() (sim.Config, error) {
 	spec, ok := workload.ByName(c.Benchmark)
@@ -361,11 +366,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	icfg, err := cfg.internal()
 	if err != nil {
 		return nil, err
-	}
-	if plan, err := cfg.Checkpoint.plan(cfg); err != nil {
-		return nil, err
-	} else if plan != nil {
-		return runWithCheckpoint(ctx, icfg, plan)
 	}
 	res, err := sim.RunContext(ctx, icfg)
 	if err != nil {
