@@ -187,3 +187,111 @@ func TestConfigJSONRejectsBadNames(t *testing.T) {
 		}
 	}
 }
+
+// TestWireBytesPinned compares the marshaled Config and Result byte for
+// byte against literal streams. The Config bytes are the Experiment cache
+// key, the ptbserve journal ID and the store file name, so any change to
+// key order, omitempty choices or value spelling shows up here first. Each
+// literal must also decode and re-marshal to itself.
+func TestWireBytesPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		v    any
+		back any // fresh value the literal decodes into
+		want string
+	}{
+		{
+			name: "config every wire field",
+			v: ptbsim.Config{
+				Benchmark: "ocean", Cores: 16, Technique: ptbsim.PTB, Policy: ptbsim.Dynamic,
+				RelaxFrac: 0.2, BudgetFrac: 0.45, WorkloadScale: 0.25, MaxCycles: 1 << 20,
+				PessimisticPTBLatency: true, PTBClusterSize: 4, CheckInvariants: true,
+				Faults: &ptbsim.FaultSpec{
+					Seed: 42, TokenDrop: 0.1, TokenDelay: 0.05, TokenDup: 0.01,
+					TokenDelayCycles: 32, StaleTimeout: -1, MaxRetries: 5, RetryBackoff: 4,
+					LinkStall: 0.02, LinkStallCycles: 8, FlitCorrupt: 0.003,
+					SensorNoise: 0.05, SensorDrift: 0.025, DVFSGlitch: 0.5,
+				},
+				IntraParallel: 3,
+				Observe:       &ptbsim.Telemetry{Every: 512, Observer: &ptbsim.MemoryObserver{}},
+				Checkpoint:    &ptbsim.Checkpoint{},
+			},
+			back: &ptbsim.Config{},
+			want: `{"benchmark":"ocean","cores":16,"technique":"ptb","policy":"dynamic","relax_frac":0.2,"budget_frac":0.45,"workload_scale":0.25,"max_cycles":1048576,"pessimistic_ptb_latency":true,"ptb_cluster_size":4,"check_invariants":true,"faults":"backoff=4,corrupt=0.003,delay=0.05,delaycycles=32,drift=0.025,drop=0.1,dup=0.01,glitch=0.5,noise=0.05,retries=5,seed=42,stale=-1,stall=0.02,stallcycles=8"}`,
+		},
+		{
+			name: "config zero fault spec",
+			v:    ptbsim.Config{Benchmark: "fft", Faults: &ptbsim.FaultSpec{}},
+			back: &ptbsim.Config{},
+			want: `{"benchmark":"fft","faults":""}`,
+		},
+		{
+			name: "config toone",
+			v:    ptbsim.Config{Benchmark: "radix", Cores: 4, Technique: ptbsim.PTB, Policy: ptbsim.ToOne},
+			back: &ptbsim.Config{},
+			want: `{"benchmark":"radix","cores":4,"technique":"ptb","policy":"toone"}`,
+		},
+		{
+			name: "config dynamic",
+			v:    ptbsim.Config{Benchmark: "radix", Cores: 4, Technique: ptbsim.PTB, Policy: ptbsim.Dynamic},
+			back: &ptbsim.Config{},
+			want: `{"benchmark":"radix","cores":4,"technique":"ptb","policy":"dynamic"}`,
+		},
+		{
+			name: "config toall",
+			v:    ptbsim.Config{Benchmark: "radix", Cores: 4, Technique: ptbsim.PTB, Policy: ptbsim.ToAll},
+			back: &ptbsim.Config{},
+			want: `{"benchmark":"radix","cores":4,"technique":"ptb"}`,
+		},
+		{
+			name: "config zero",
+			v:    ptbsim.Config{},
+			back: &ptbsim.Config{},
+			want: `{"benchmark":""}`,
+		},
+		{
+			name: "result every field",
+			v: &ptbsim.Result{
+				Benchmark: "ocean", Cores: 8, Technique: ptbsim.PTB, Policy: "ToOne",
+				Cycles: 123456, Committed: 98765, EnergyJ: 1.25e-3, AoPBJ: 1e-6, BudgetPJ: 1935.1,
+				MeanPowerW: 2.5, StdPowerW: 0.25, BusyFrac: 0.6, LockAcqFrac: 0.1,
+				LockRelFrac: 0.05, BarrierFrac: 0.25, SpinEnergyFrac: 0.3, OverBudgetFrac: 0.125,
+				MeanTempC: 61.5, StdTempC: 1.75, HitMaxCycles: true,
+				ComponentJ:     map[string]float64{"noc": 2.5e-4, "core": 1e-3, "leakage": 3e-5},
+				TokenDonatedPJ: 10, TokenGrantedPJ: 9, TokenDiscardedPJ: 1, BalanceRounds: 7,
+				CohGetS: 1, CohGetX: 2, CohPut: 3, CohFwd: 4, CohInv: 5,
+				NoCMessages: 100, NoCFlits: 700,
+				Degraded: true, FaultsInjected: 11, TokenLostPJ: 3.5, TokenDupPJ: 0.5,
+				TokenRetries: 6, TokenReportsLost: 2, StaleFallbackCycles: 40,
+				NoCStallCycles: 8, NoCRetransmits: 9, DVFSGlitches: 1,
+			},
+			back: &ptbsim.Result{},
+			want: `{"benchmark":"ocean","cores":8,"technique":"ptb","policy":"ToOne","cycles":123456,"committed":98765,"energy_j":0.00125,"aopb_j":0.000001,"budget_pj":1935.1,"mean_power_w":2.5,"std_power_w":0.25,"busy_frac":0.6,"lock_acq_frac":0.1,"lock_rel_frac":0.05,"barrier_frac":0.25,"spin_energy_frac":0.3,"over_budget_frac":0.125,"mean_temp_c":61.5,"std_temp_c":1.75,"hit_max_cycles":true,"component_j":{"core":0.001,"leakage":0.00003,"noc":0.00025},"token_donated_pj":10,"token_granted_pj":9,"token_discarded_pj":1,"balance_rounds":7,"coh_gets":1,"coh_getx":2,"coh_put":3,"coh_fwd":4,"coh_inv":5,"noc_msgs":100,"noc_flits":700,"degraded":true,"faults_injected":11,"token_lost_pj":3.5,"token_dup_pj":0.5,"token_retries":6,"token_reports_lost":2,"stale_fallback_cycles":40,"noc_stall_cycles":8,"noc_retransmits":9,"dvfs_glitches":1,"digest":"ocean/8/ptb/ToOne cycles=123456 committed=98765 energy=0x1.47ae147ae147bp-10 aopb=0x1.0c6f7a0b5ed8dp-20 tokens=0x1.4p+03/0x1.2p+03/0x1p+00 rounds=7 coh=1/2/3/4/5 noc=100/700 sha=9d3438b4de17"}`,
+		},
+		{
+			name: "result zero",
+			v:    &ptbsim.Result{},
+			back: &ptbsim.Result{},
+			want: `{"benchmark":"","cores":0,"technique":"","cycles":0,"committed":0,"energy_j":0,"aopb_j":0,"budget_pj":0,"mean_power_w":0,"std_power_w":0,"busy_frac":0,"lock_acq_frac":0,"lock_rel_frac":0,"barrier_frac":0,"spin_energy_frac":0,"over_budget_frac":0,"mean_temp_c":0,"std_temp_c":0,"token_donated_pj":0,"token_granted_pj":0,"token_discarded_pj":0,"balance_rounds":0,"coh_gets":0,"coh_getx":0,"coh_put":0,"coh_fwd":0,"coh_inv":0,"noc_msgs":0,"noc_flits":0,"digest":"/0/ cycles=0 committed=0 energy=0x0p+00 aopb=0x0p+00 tokens=0x0p+00/0x0p+00/0x0p+00 rounds=0 coh=0/0/0/0/0 noc=0/0 sha=77b9f2e33c97"}`,
+		},
+	}
+	for _, tc := range cases {
+		got, err := json.Marshal(tc.v)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("%s: wire bytes moved:\n got  %s\n want %s", tc.name, got, tc.want)
+		}
+		if err := json.Unmarshal([]byte(tc.want), tc.back); err != nil {
+			t.Fatalf("%s: decoding the pinned bytes: %v", tc.name, err)
+		}
+		again, err := json.Marshal(tc.back)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if string(again) != tc.want {
+			t.Errorf("%s: decode and re-marshal moved the bytes:\n got  %s\n want %s", tc.name, again, tc.want)
+		}
+	}
+}
