@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -40,6 +41,8 @@ type Server struct {
 	hub *Hub           // optional telemetry hub, for /v1/telemetry
 	jr  *store.Journal // optional write-ahead journal of accepted jobs
 	mux *http.ServeMux
+
+	jrLogged atomic.Bool // the first journal write failure was logged
 
 	started time.Time
 
@@ -76,8 +79,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // jobs never completed — feed them back through ReplayJournal. Once a
 // journal write fails the journal latches the error: jobs are still
 // answered correctly, but later acknowledgments are not durable, and
-// /v1/stats reports the error as journal_error. Call before serving
-// requests; nil detaches.
+// /v1/stats reports the error as journal_error, and the first failure is
+// logged once on the standard logger. Call before serving requests; nil
+// detaches.
 func (s *Server) AttachJournal(jr *store.Journal) { s.jr = jr }
 
 // journalAccept records an accepted job in the journal — before any
@@ -89,7 +93,10 @@ func (s *Server) journalAccept(job *ptbsim.Job, priority int) {
 	}
 	cfgJSON, err := json.Marshal(job.Config())
 	if err == nil {
-		_ = s.jr.Accept(store.JournalRecord{ID: job.Key(), Config: cfgJSON, Priority: priority})
+		err = s.jr.Accept(store.JournalRecord{ID: job.Key(), Config: cfgJSON, Priority: priority})
+	}
+	if err != nil && s.jrLogged.CompareAndSwap(false, true) {
+		log.Printf("ptbserve: job journal write failed, later acknowledgments are not durable: %v", err)
 	}
 	go func() {
 		// The watcher outlives the request: a client that disconnects

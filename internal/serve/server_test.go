@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -428,9 +429,15 @@ func TestJournalReplayRecoversInterruptedJob(t *testing.T) {
 
 // TestJournalWriteFailureDegrades pins the degraded mode of a failing
 // journal: once an accept write fails, the run is still answered with
-// the result a fresh run computes, and /v1/stats reports the latched
-// journal error (the acknowledgment is then not durable).
+// the result a fresh run computes, the failure is logged once on the
+// standard logger, and /v1/stats reports the latched journal error (the
+// acknowledgment is then not durable).
 func TestJournalWriteFailureDegrades(t *testing.T) {
+	var logged bytes.Buffer
+	prevOut := log.Writer()
+	log.SetOutput(&logged)
+	defer log.SetOutput(prevOut)
+
 	dir := t.TempDir()
 	jr, _, err := store.OpenJournal(filepath.Join(dir, "jobs.wal"))
 	if err != nil {
@@ -473,5 +480,16 @@ func TestJournalWriteFailureDegrades(t *testing.T) {
 	}
 	if st.JournalError == "" {
 		t.Fatal("/v1/stats reports no journal_error after a failed accept write")
+	}
+
+	// A second failing accept must not log again.
+	again := cfg
+	again.Benchmark = "radix"
+	resp2 := postJSON(t, ts.URL+"/v1/runs", runRequest{Config: again})
+	resp2.Body.Close()
+	log.SetOutput(prevOut) // no more writes into logged past this point
+	const line = "ptbserve: job journal write failed, later acknowledgments are not durable"
+	if got := logged.String(); strings.Count(got, line) != 1 {
+		t.Fatalf("log output %q, want exactly one line containing %q", got, line)
 	}
 }
