@@ -38,7 +38,7 @@ func benchTrace(b *testing.B, bench string, every int64) {
 			Technique:     None,
 			WorkloadScale: benchScale,
 			MaxCycles:     20_000_000,
-			Observe:       &Telemetry{Every: every, Ring: 1, Observer: mo},
+			Observe:       &Telemetry{Every: every, Observer: mo},
 		})
 		if err != nil {
 			b.Fatal(err)

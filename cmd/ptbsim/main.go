@@ -48,7 +48,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	var faults ptbsim.FaultSpecFlag
 	fs.Var(&faults, "faults", "fault-injection spec, e.g. seed=42,drop=0.25,noise=0.02 (keys: seed, drop, delay, dup, delaycycles, stale, retries, backoff, stall, stallcycles, corrupt, noise, drift, glitch)")
 	var telemetry ptbsim.TelemetryFlag
-	fs.Var(&telemetry, "telemetry", "stream epoch telemetry, e.g. every=2048,out=run.jsonl (keys: every, ring, out, format)")
+	fs.Var(&telemetry, "telemetry", "stream epoch telemetry, e.g. every=2048,out=run.jsonl (keys: every, out, format)")
 	if err := c.Parse(args); err != nil {
 		return c.Exit(err)
 	}

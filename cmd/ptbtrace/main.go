@@ -89,7 +89,7 @@ func figTrace(ctx context.Context, exp string, cfg ptbsim.Config) (trace []float
 // partial tail sample is skipped to match the figures' fixed-period grids.
 func tracePower(ctx context.Context, cfg ptbsim.Config, every int64, core int) (chip, coreTrace []float64, budgetPJ float64, err error) {
 	mo := &ptbsim.MemoryObserver{}
-	cfg.Observe = &ptbsim.Telemetry{Every: every, Ring: 1, Observer: mo}
+	cfg.Observe = &ptbsim.Telemetry{Every: every, Observer: mo}
 	res, err := ptbsim.RunContext(ctx, cfg)
 	if err != nil {
 		return nil, nil, 0, err

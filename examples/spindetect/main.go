@@ -23,7 +23,7 @@ func main() {
 		Benchmark:     "fluidanimate", // heavy fine-grained locking
 		Cores:         4,
 		WorkloadScale: 0.12,
-		Observe:       &ptbsim.Telemetry{Every: traceEvery, Ring: 1, Observer: &mem},
+		Observe:       &ptbsim.Telemetry{Every: traceEvery, Observer: &mem},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -45,7 +45,6 @@ type Experiment struct {
 	progress    func(Progress)
 	observer    Observer
 	obsEvery    int64
-	obsRing     int
 	telemetry   *Telemetry // shared serialized Telemetry built from observer
 
 	cacheBackend ResultCache // nil = default in-memory cache
@@ -122,12 +121,6 @@ func WithObserver(every int64, o Observer) Option {
 	return func(e *Experiment) { e.observer = o; e.obsEvery = every }
 }
 
-// WithObserverRing sets the in-memory ring capacity of the runs observed
-// via WithObserver (0 = the default).
-func WithObserverRing(ring int) Option {
-	return func(e *Experiment) { e.obsRing = ring }
-}
-
 // NewExperiment creates an experiment engine. Without options it runs
 // paper-sized workloads (scale 1.0) on runtime.NumCPU() workers.
 func NewExperiment(opts ...Option) *Experiment {
@@ -141,7 +134,6 @@ func NewExperiment(opts ...Option) *Experiment {
 	if e.observer != nil {
 		e.telemetry = &Telemetry{
 			Every:    e.obsEvery,
-			Ring:     e.obsRing,
 			Observer: &lockedObserver{inner: e.observer},
 		}
 	}
@@ -190,10 +182,10 @@ func (e *Experiment) normalize(cfg Config) Config {
 }
 
 // key canonicalizes a normalized config into the engine cache key: its
-// stable wire JSON (configJSON), which holds exactly the result-determining
-// fields and round-trips every float64 bit-exactly, so two configs share a
-// key only if they run the same simulation. Observe has no wire form and
-// stays out: it cannot change a result. Callers validate cfg first, and
+// stable wire JSON (Config's json tags), which holds exactly the
+// result-determining fields and round-trips every float64 bit-exactly, so
+// two configs share a key only if they run the same simulation. Observe
+// has no wire form and stays out: it cannot change a result. Callers validate cfg first, and
 // Validate rejects the non-finite floats, the only values json.Marshal
 // refuses.
 func (e *Experiment) key(cfg Config) string {

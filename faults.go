@@ -1,146 +1,14 @@
 package ptbsim
 
-import (
-	"fmt"
-	"strings"
+import "ptbsim/internal/fault"
 
-	"ptbsim/internal/fault"
-)
-
-// reshapeFaultErr rewrites an internal fault-package error into the public
-// parsers' uniform shape — "ptbsim: invalid fault spec: <detail>" — while
-// keeping the ErrBadFaultSpec sentinel reachable through errors.Is.
-func reshapeFaultErr(err error) error {
-	detail := strings.TrimPrefix(err.Error(), "fault: ")
-	detail = strings.TrimPrefix(detail, fault.ErrBadSpec.Error()+": ")
-	return fmt.Errorf("ptbsim: %w: %s", fault.ErrBadSpec, detail)
-}
-
-// FaultSpec declares the fault-injection rates and parameters of a run.
-// The zero FaultSpec injects nothing, and a run under the zero spec is
-// bit-identical to a run with no spec at all (the golden tests assert the
-// digests match byte for byte). Rates are probabilities in [0, 1]; cycle
-// counts and retry bounds left at zero select the engine defaults, and
-// negative values disable the corresponding mechanism.
-//
-// Injection is deterministic: the same Seed and rates reproduce the same
-// fault sequence, and each fault domain (token exchange, NoC links, power
-// sensors, DVFS) draws from an independent stream, so enabling one kind of
-// fault never perturbs another kind's decisions. Faults change what the
-// controllers observe — a lost report, a stalled link, a noisy sensor —
-// never the ground-truth energy or token ledgers, so every conservation
-// invariant keeps holding with injection enabled.
-type FaultSpec struct {
-	// Seed seeds the injector's random streams (0 selects a fixed non-zero
-	// constant, so runs stay deterministic either way).
-	Seed uint64
-
-	// TokenDrop is the loss probability of one PTB token message: applied
-	// per core per cycle to the spare-token report toward the balancer and
-	// per delivery attempt to each in-flight token batch. Dropped batches
-	// are retransmitted with exponential backoff up to MaxRetries times,
-	// then recorded as lost; cores whose reports go stale past StaleTimeout
-	// are handled by the balancer's watchdog, which falls back to their
-	// static per-core share. Either event marks the run Degraded.
-	TokenDrop float64
-	// TokenDelay is the probability a token batch is delayed by
-	// TokenDelayCycles beyond its normal transfer latency.
-	TokenDelay float64
-	// TokenDup is the probability a token batch is duplicated in flight
-	// (the balancer receives it twice; the extra energy is tracked in
-	// Result.TokenDupPJ).
-	TokenDup float64
-	// TokenDelayCycles is the extra delay of a delayed batch (0 = 16).
-	TokenDelayCycles int64
-	// StaleTimeout is the balancer watchdog threshold in cycles
-	// (0 = 64, negative = watchdog disabled).
-	StaleTimeout int64
-	// MaxRetries bounds batch retransmissions (0 = 3, negative = no
-	// retries: a dropped batch is immediately lost).
-	MaxRetries int
-	// RetryBackoff is the base retransmit backoff in cycles, doubling per
-	// attempt (0 = 8, giving 8, 16, 32, …).
-	RetryBackoff int64
-
-	// LinkStall is the per-link-traversal probability of a transient NoC
-	// stall of LinkStallCycles.
-	LinkStall float64
-	// LinkStallCycles is the stall duration (0 = 16).
-	LinkStallCycles int64
-	// FlitCorrupt is the per-link-traversal probability of detected flit
-	// corruption; the flits are retransmitted across the link, doubling its
-	// serialization time and link/router energy for that hop.
-	FlitCorrupt float64
-
-	// SensorNoise is the relative amplitude of white noise on the per-core
-	// power-sensor readings (0.05 = readings jitter within ±5%).
-	SensorNoise float64
-	// SensorDrift bounds each sensor's slow calibration drift: a bounded
-	// random walk within ±SensorDrift.
-	SensorDrift float64
-
-	// DVFSGlitch is the per-transition probability that a DVFS mode change
-	// fails: the core pays the transition stall but keeps its current
-	// operating point until the next window.
-	DVFSGlitch float64
-}
-
-// internal converts the public spec to the engine's representation.
-func (s FaultSpec) internal() fault.Spec {
-	return fault.Spec{
-		Seed:             s.Seed,
-		TokenDrop:        s.TokenDrop,
-		TokenDelay:       s.TokenDelay,
-		TokenDup:         s.TokenDup,
-		TokenDelayCycles: s.TokenDelayCycles,
-		StaleTimeout:     s.StaleTimeout,
-		MaxRetries:       s.MaxRetries,
-		RetryBackoff:     s.RetryBackoff,
-		LinkStall:        s.LinkStall,
-		LinkStallCycles:  s.LinkStallCycles,
-		FlitCorrupt:      s.FlitCorrupt,
-		SensorNoise:      s.SensorNoise,
-		SensorDrift:      s.SensorDrift,
-		DVFSGlitch:       s.DVFSGlitch,
-	}
-}
-
-// fromInternal converts the engine's representation back to the public one.
-func fromInternal(s fault.Spec) FaultSpec {
-	return FaultSpec{
-		Seed:             s.Seed,
-		TokenDrop:        s.TokenDrop,
-		TokenDelay:       s.TokenDelay,
-		TokenDup:         s.TokenDup,
-		TokenDelayCycles: s.TokenDelayCycles,
-		StaleTimeout:     s.StaleTimeout,
-		MaxRetries:       s.MaxRetries,
-		RetryBackoff:     s.RetryBackoff,
-		LinkStall:        s.LinkStall,
-		LinkStallCycles:  s.LinkStallCycles,
-		FlitCorrupt:      s.FlitCorrupt,
-		SensorNoise:      s.SensorNoise,
-		SensorDrift:      s.SensorDrift,
-		DVFSGlitch:       s.DVFSGlitch,
-	}
-}
-
-// Zero reports whether the spec injects nothing (all rates zero); the
-// parameters (seed, timeouts, retry bounds) are ignored.
-func (s FaultSpec) Zero() bool { return s.internal().Zero() }
-
-// Validate checks every rate; errors wrap ErrBadFaultSpec.
-func (s FaultSpec) Validate() error {
-	if err := s.internal().Validate(); err != nil {
-		return reshapeFaultErr(err)
-	}
-	return nil
-}
-
-// String renders the spec in ParseFaultSpec's comma-separated key=value
-// syntax, omitting zero fields, in a deterministic key order. The zero
-// spec renders as "". The output round-trips through ParseFaultSpec.
-func (s FaultSpec) String() string { return s.internal().String() }
+// FaultSpec declares the fault-injection rates and parameters of a run
+// (Config.Faults). The zero FaultSpec injects nothing, and a run under it
+// is bit-identical to a run with no spec at all. It is an alias of the
+// engine's spec type, so the field documentation and the determinism
+// guarantees live on fault.Spec; its Validate errors wrap ErrBadFaultSpec
+// and it travels on the wire as its String form.
+type FaultSpec = fault.Spec
 
 // ParseFaultSpec builds a FaultSpec from a comma-separated key=value list,
 // the syntax the CLI tools accept for their -faults flag:
@@ -151,10 +19,4 @@ func (s FaultSpec) String() string { return s.internal().String() }
 // retries, backoff, stall, stallcycles, corrupt, noise, drift, glitch.
 // Unknown or repeated keys and malformed values return an error wrapping
 // ErrBadFaultSpec; the empty string parses to the zero spec.
-func ParseFaultSpec(in string) (FaultSpec, error) {
-	s, err := fault.Parse(in)
-	if err != nil {
-		return FaultSpec{}, reshapeFaultErr(err)
-	}
-	return fromInternal(s), nil
-}
+func ParseFaultSpec(in string) (FaultSpec, error) { return fault.Parse(in) }

@@ -149,7 +149,7 @@ func (c *Cmd) ExperimentTelemetry(spec *ptbsim.TelemetrySpec) ([]ptbsim.Option, 
 	if tel == nil || err != nil {
 		return nil, err
 	}
-	return []ptbsim.Option{ptbsim.WithObserver(tel.Every, tel.Observer), ptbsim.WithObserverRing(tel.Ring)}, nil
+	return []ptbsim.Option{ptbsim.WithObserver(tel.Every, tel.Observer)}, nil
 }
 
 // Exit runs the registered cleanups, reports err on stderr and returns

@@ -42,7 +42,9 @@ import (
 )
 
 // ErrBadSpec is the sentinel wrapped by every Spec validation and Parse
-// error; branch with errors.Is.
+// error; branch with errors.Is. Spec is the public ptbsim.FaultSpec, so
+// its errors read "ptbsim: invalid fault spec: <detail>" like the other
+// ptbsim parsers.
 var ErrBadSpec = errors.New("invalid fault spec")
 
 // Defaults for the tunable parameters (applied when the field is zero).
@@ -66,60 +68,78 @@ const (
 // neverStale is the watchdog timeout used when the watchdog is disabled.
 const neverStale = int64(1) << 62
 
-// Spec declares the fault rates and parameters of one run. The zero Spec
-// injects nothing. Rates are probabilities in [0, 1]; cycle counts and
-// retry bounds left at zero select the package defaults, and negative
-// values disable the corresponding mechanism (see each field).
+// Spec declares the fault-injection rates and parameters of one run; the
+// public API exposes it as ptbsim.FaultSpec. The zero Spec injects nothing,
+// and a run under the zero spec is bit-identical to a run with no spec at
+// all (the golden tests assert the digests match byte for byte). Rates are
+// probabilities in [0, 1]; cycle counts and retry bounds left at zero
+// select the package defaults, and negative values disable the
+// corresponding mechanism.
+//
+// Injection is deterministic: the same Seed and rates reproduce the same
+// fault sequence, and each fault domain (token exchange, NoC links, power
+// sensors, DVFS) draws from an independent stream, so enabling one kind of
+// fault never perturbs another kind's decisions. Faults change what the
+// controllers observe — a lost report, a stalled link, a noisy sensor —
+// never the ground-truth energy or token ledgers, so every conservation
+// invariant keeps holding with injection enabled.
+//
+// A Spec travels on the wire as its String form (MarshalText), so a
+// Config's fault spec is one JSON string and the zero spec is "".
 type Spec struct {
 	// Seed seeds the injector's random streams (0 selects a fixed non-zero
-	// constant, per xrand.New).
+	// constant, so runs stay deterministic either way).
 	Seed uint64
 
 	// TokenDrop is the loss probability of one PTB token message: applied
-	// per core per cycle to the spare-token report toward the balancer, and
-	// per delivery attempt to each in-flight token batch (dropped batches
-	// are retransmitted up to MaxRetries times before being lost).
+	// per core per cycle to the spare-token report toward the balancer and
+	// per delivery attempt to each in-flight token batch. Dropped batches
+	// are retransmitted with exponential backoff up to MaxRetries times,
+	// then recorded as lost; cores whose reports go stale past StaleTimeout
+	// are handled by the balancer's watchdog, which falls back to their
+	// static per-core share. Either event marks the run Degraded.
 	TokenDrop float64
-	// TokenDelay is the probability a launched token batch is delayed by
+	// TokenDelay is the probability a token batch is delayed by
 	// TokenDelayCycles beyond its normal transfer latency.
 	TokenDelay float64
-	// TokenDup is the probability a launched token batch is duplicated (the
-	// balancer receives it twice — over-granting that the token-conservation
-	// ledger tracks separately).
+	// TokenDup is the probability a token batch is duplicated in flight
+	// (the balancer receives it twice; the extra energy is tracked in
+	// Result.TokenDupPJ).
 	TokenDup float64
 	// TokenDelayCycles is the extra delay of a delayed batch
-	// (0 = DefaultTokenDelayCycles).
+	// (0 = DefaultTokenDelayCycles, 16).
 	TokenDelayCycles int64
-	// StaleTimeout is the watchdog threshold in cycles (0 =
-	// DefaultStaleTimeout, negative = watchdog disabled).
+	// StaleTimeout is the balancer watchdog threshold in cycles
+	// (0 = DefaultStaleTimeout, 64; negative = watchdog disabled).
 	StaleTimeout int64
-	// MaxRetries bounds batch retransmissions (0 = DefaultMaxRetries,
+	// MaxRetries bounds batch retransmissions (0 = DefaultMaxRetries, 3;
 	// negative = no retries: a dropped batch is immediately lost).
 	MaxRetries int
 	// RetryBackoff is the base retransmit backoff in cycles, doubling per
-	// attempt (0 = DefaultRetryBackoff).
+	// attempt (0 = DefaultRetryBackoff, 8, giving 8, 16, 32, …).
 	RetryBackoff int64
 
-	// LinkStall is the per-link-traversal probability of a transient stall
-	// of LinkStallCycles.
+	// LinkStall is the per-link-traversal probability of a transient NoC
+	// stall of LinkStallCycles.
 	LinkStall float64
-	// LinkStallCycles is the stall duration (0 = DefaultLinkStallCycles).
+	// LinkStallCycles is the stall duration (0 = DefaultLinkStallCycles,
+	// 16).
 	LinkStallCycles int64
 	// FlitCorrupt is the per-link-traversal probability of detected flit
-	// corruption; the message is retransmitted across the link (doubling its
-	// serialization time and link/router energy).
+	// corruption; the flits are retransmitted across the link, doubling its
+	// serialization time and link/router energy for that hop.
 	FlitCorrupt float64
 
 	// SensorNoise is the relative amplitude of white noise on the per-core
 	// power-sensor readings (0.05 = readings jitter within ±5%).
 	SensorNoise float64
-	// SensorDrift is the maximum relative drift of a sensor: each core's
-	// sensor performs a bounded random walk within ±SensorDrift.
+	// SensorDrift bounds each sensor's slow calibration drift: a bounded
+	// random walk within ±SensorDrift.
 	SensorDrift float64
 
 	// DVFSGlitch is the per-transition probability that a DVFS mode change
-	// glitches: the core pays the transition stall but stays at its current
-	// operating point.
+	// fails: the core pays the transition stall but keeps its current
+	// operating point until the next window.
 	DVFSGlitch float64
 }
 
@@ -144,7 +164,7 @@ func (s Spec) Validate() error {
 	}
 	for _, r := range rates {
 		if r.v < 0 || r.v > 1 || math.IsNaN(r.v) {
-			return fmt.Errorf("fault: %w: %s=%v outside [0, 1]", ErrBadSpec, r.name, r.v)
+			return fmt.Errorf("ptbsim: %w: %s=%v outside [0, 1]", ErrBadSpec, r.name, r.v)
 		}
 	}
 	return nil
@@ -209,16 +229,16 @@ func Parse(in string) (Spec, error) {
 	for _, part := range strings.Split(trimmed, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
-			return s, fmt.Errorf("fault: %w: empty clause in %q", ErrBadSpec, in)
+			return s, fmt.Errorf("ptbsim: %w: empty clause in %q", ErrBadSpec, in)
 		}
 		k, v, ok := strings.Cut(part, "=")
 		if !ok {
-			return s, fmt.Errorf("fault: %w: clause %q is not key=value", ErrBadSpec, part)
+			return s, fmt.Errorf("ptbsim: %w: clause %q is not key=value", ErrBadSpec, part)
 		}
 		k = strings.ToLower(strings.TrimSpace(k))
 		v = strings.TrimSpace(v)
 		if seen[k] {
-			return s, fmt.Errorf("fault: %w: repeated key %q", ErrBadSpec, k)
+			return s, fmt.Errorf("ptbsim: %w: repeated key %q", ErrBadSpec, k)
 		}
 		seen[k] = true
 		var err error
@@ -254,11 +274,11 @@ func Parse(in string) (Spec, error) {
 		case "glitch":
 			s.DVFSGlitch, err = parseRate(v)
 		default:
-			return s, fmt.Errorf("fault: %w: unknown key %q (valid: %s)",
+			return s, fmt.Errorf("ptbsim: %w: unknown key %q (valid: %s)",
 				ErrBadSpec, k, strings.Join(specKeys, ", "))
 		}
 		if err != nil {
-			return s, fmt.Errorf("fault: %w: %s=%q: %v", ErrBadSpec, k, v, err)
+			return s, fmt.Errorf("ptbsim: %w: %s=%q: %v", ErrBadSpec, k, v, err)
 		}
 	}
 	if err := s.Validate(); err != nil {
@@ -319,6 +339,19 @@ func (s Spec) String() string {
 		parts[i] = k + "=" + m[k]
 	}
 	return strings.Join(parts, ",")
+}
+
+// MarshalText encodes the spec as its String form.
+func (s Spec) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText decodes Parse's syntax; errors wrap ErrBadSpec.
+func (s *Spec) UnmarshalText(b []byte) error {
+	v, err := Parse(string(b))
+	if err != nil {
+		return err
+	}
+	*s = v
+	return nil
 }
 
 // Injector is one run's fault source: four independent decision streams,

@@ -1,11 +1,11 @@
-// Package obs is the epoch-sampled observability layer: a preallocated
-// time-series recorder the simulator ticks once per cycle, which emits one
-// Sample per epoch into a fixed-size ring and, optionally, a streaming
-// Sink. The recorder allocates everything at construction, so the enabled
-// path is O(1) work per epoch with zero allocations, and a system built
-// without a recorder pays a single nil check per cycle — the golden-digest
-// matrix pins that a run is bit-identical with the recorder on or off,
-// because the recorder only reads simulation state.
+// Package obs is the epoch-sampled observability layer: a time-series
+// recorder the simulator ticks once per cycle, which fills one Sample per
+// epoch and hands it to a streaming Sink. The recorder allocates its one
+// reusable Sample at construction, so the enabled path is O(cores) work
+// per epoch with zero allocations, and a system built without a recorder
+// pays a single nil check per cycle — the golden-digest matrix pins that a
+// run is bit-identical with the recorder on or off, because the recorder
+// only reads simulation state.
 //
 // The windowed signals mirror what a power-management study needs to plot
 // (per-core power, token flows, mode residency, sync-class occupancy, NoC
@@ -23,11 +23,6 @@ import (
 // fine enough to resolve lock/barrier phases at paper scales, coarse
 // enough that a full run emits thousands — not millions — of samples.
 const DefaultEvery = 4096
-
-// DefaultRing is the in-memory ring capacity in samples when Config.Ring
-// is zero. Older samples are overwritten once the ring wraps; a streaming
-// Sink sees every sample regardless.
-const DefaultRing = 1024
 
 // Sample is one epoch of telemetry. Slice fields are sized to the core
 // count. Counter fields are deltas over the epoch unless documented as
@@ -105,8 +100,8 @@ func (s *Sample) Clone() Sample {
 }
 
 // Sink consumes samples as they are recorded. The *Sample passed to
-// Observe is only valid for the duration of the call — it points into the
-// recorder's ring and will be overwritten; retain Clone()s, not pointers.
+// Observe is only valid for the duration of the call — the recorder reuses
+// it for the next epoch; retain Clone()s, not pointers.
 type Sink interface {
 	Observe(s *Sample)
 }
@@ -115,21 +110,8 @@ type Sink interface {
 type Config struct {
 	// Every is the sampling period in cycles (0 = DefaultEvery).
 	Every int64
-	// Ring is the in-memory ring capacity in samples (0 = DefaultRing).
-	Ring int
-	// Sink, when non-nil, additionally receives every sample as it is
-	// recorded.
+	// Sink, when non-nil, receives every sample as it is recorded.
 	Sink Sink
-}
-
-func (c Config) withDefaults() Config {
-	if c.Every <= 0 {
-		c.Every = DefaultEvery
-	}
-	if c.Ring <= 0 {
-		c.Ring = DefaultRing
-	}
-	return c
 }
 
 // FillFunc populates one sample from simulation state. The recorder owns
@@ -143,11 +125,10 @@ type FillFunc func(s *Sample)
 // runs must serialize itself.
 type Recorder struct {
 	every int64
-	ring  []Sample
+	cur   Sample // reused for every epoch
 	sink  Sink
 	fill  FillFunc
 
-	next      int   // ring slot of the next sample
 	taken     int64 // samples emitted so far
 	lastCycle int64 // cycle of the most recent sample
 	boundary  int64 // first epoch boundary after the last cycle ticked
@@ -172,27 +153,27 @@ type Recorder struct {
 }
 
 // NewRecorder builds a recorder for a CMP of the given core count. Every
-// allocation the hot path needs happens here: the ring slots carry
-// preallocated per-core slices that fill writes into in place.
+// allocation the hot path needs happens here: the one reused sample
+// carries preallocated per-core slices that fill writes into in place.
 func NewRecorder(cfg Config, cores int, fill FillFunc) *Recorder {
-	cfg = cfg.withDefaults()
-	r := &Recorder{
-		every:      cfg.Every,
-		ring:       make([]Sample, cfg.Ring),
+	if cfg.Every <= 0 {
+		cfg.Every = DefaultEvery
+	}
+	return &Recorder{
+		every: cfg.Every,
+		cur: Sample{
+			CorePJ:   make([]float64, cores),
+			TokensPJ: make([]float64, cores),
+			EpochPJ:  make([]float64, cores),
+			Modes:    make([]int, cores),
+			Classes:  make([]int, cores),
+		},
 		sink:       cfg.Sink,
 		fill:       fill,
 		prevPJ:     make([]float64, cores),
 		observedPJ: make([]float64, cores),
 		cores:      cores,
 	}
-	for i := range r.ring {
-		r.ring[i].CorePJ = make([]float64, cores)
-		r.ring[i].TokensPJ = make([]float64, cores)
-		r.ring[i].EpochPJ = make([]float64, cores)
-		r.ring[i].Modes = make([]int, cores)
-		r.ring[i].Classes = make([]int, cores)
-	}
-	return r
 }
 
 // SetRun stamps the run tags and budget carried on every sample.
@@ -238,11 +219,7 @@ func (r *Recorder) Finalize(cycle int64) {
 }
 
 func (r *Recorder) sample(cycle int64, partial bool) {
-	sm := &r.ring[r.next]
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-	}
+	sm := &r.cur
 	sm.Bench, sm.Cores, sm.Tech, sm.Policy = r.bench, r.cores, r.tech, r.policy
 	sm.BudgetPJ = r.budgetPJ
 	sm.Epoch = r.taken
@@ -277,34 +254,6 @@ func (r *Recorder) sample(cycle int64, partial bool) {
 
 // Taken returns how many samples have been emitted.
 func (r *Recorder) Taken() int64 { return r.taken }
-
-// Dropped returns how many samples have been overwritten by ring wrap
-// (zero until the run outlives Ring epochs). A streaming Sink still saw
-// them.
-func (r *Recorder) Dropped() int64 {
-	if d := r.taken - int64(len(r.ring)); d > 0 {
-		return d
-	}
-	return 0
-}
-
-// Samples returns the retained window of samples in chronological order,
-// deep-copied so the caller owns them.
-func (r *Recorder) Samples() []Sample {
-	n := r.taken
-	if n > int64(len(r.ring)) {
-		n = int64(len(r.ring))
-	}
-	start := 0
-	if r.taken > int64(len(r.ring)) {
-		start = r.next
-	}
-	out := make([]Sample, 0, n)
-	for i := int64(0); i < n; i++ {
-		out = append(out, r.ring[(start+int(i))%len(r.ring)].Clone())
-	}
-	return out
-}
 
 // CheckEnergy verifies the recorder's epoch-energy ledger against the
 // power meter: for every core, the sum of emitted EpochPJ deltas plus the

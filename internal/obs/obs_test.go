@@ -30,9 +30,15 @@ func fillCounters(cycle *int64) FillFunc {
 	}
 }
 
+// collect is a Sink that retains a clone of every sample.
+type collect []Sample
+
+func (c *collect) Observe(s *Sample) { *c = append(*c, s.Clone()) }
+
 func TestRecorderEpochDeltas(t *testing.T) {
 	var cycle int64
-	r := NewRecorder(Config{Every: 10, Ring: 8}, 2, fillCounters(&cycle))
+	var got collect
+	r := NewRecorder(Config{Every: 10, Sink: &got}, 2, fillCounters(&cycle))
 	r.SetRun("ocean", 2, "ptb", "Dynamic", 123.5)
 	for cycle = 1; cycle <= 35; cycle++ {
 		r.Tick(cycle)
@@ -40,7 +46,6 @@ func TestRecorderEpochDeltas(t *testing.T) {
 	cycle = 35
 	r.Finalize(35)
 
-	got := r.Samples()
 	if len(got) != 4 {
 		t.Fatalf("samples = %d, want 4 (3 full epochs + 1 partial)", len(got))
 	}
@@ -75,7 +80,7 @@ func TestRecorderEpochDeltas(t *testing.T) {
 
 	// Finalize on an exact boundary must not double-sample.
 	var c2 int64
-	r2 := NewRecorder(Config{Every: 10, Ring: 8}, 1, fillCounters(&c2))
+	r2 := NewRecorder(Config{Every: 10}, 1, fillCounters(&c2))
 	for c2 = 1; c2 <= 30; c2++ {
 		r2.Tick(c2)
 	}
@@ -86,36 +91,25 @@ func TestRecorderEpochDeltas(t *testing.T) {
 	}
 }
 
-func TestRecorderRingWrap(t *testing.T) {
-	var cycle int64
-	r := NewRecorder(Config{Every: 1, Ring: 4}, 1, fillCounters(&cycle))
-	for cycle = 1; cycle <= 10; cycle++ {
-		r.Tick(cycle)
-	}
-	if r.Taken() != 10 || r.Dropped() != 6 {
-		t.Fatalf("taken=%d dropped=%d, want 10/6", r.Taken(), r.Dropped())
-	}
-	got := r.Samples()
-	if len(got) != 4 {
-		t.Fatalf("retained = %d, want ring size 4", len(got))
-	}
-	for i, s := range got {
-		if want := int64(6 + i); s.Epoch != want {
-			t.Errorf("retained[%d].Epoch = %d, want %d (chronological tail)", i, s.Epoch, want)
-		}
-	}
-}
-
 func TestRecorderSinkSeesEverySample(t *testing.T) {
 	var cycle int64
 	var seen []int64
-	sink := sinkFunc(func(s *Sample) { seen = append(seen, s.Epoch) })
-	r := NewRecorder(Config{Every: 1, Ring: 2, Sink: sink}, 1, fillCounters(&cycle))
+	var ptrs []*Sample
+	sink := sinkFunc(func(s *Sample) { seen, ptrs = append(seen, s.Epoch), append(ptrs, s) })
+	r := NewRecorder(Config{Every: 1, Sink: sink}, 1, fillCounters(&cycle))
 	for cycle = 1; cycle <= 6; cycle++ {
 		r.Tick(cycle)
 	}
-	if len(seen) != 6 {
-		t.Fatalf("sink saw %d samples, want all 6 despite ring size 2", len(seen))
+	if len(seen) != 6 || r.Taken() != 6 {
+		t.Fatalf("sink saw %d samples, taken %d, want 6 each", len(seen), r.Taken())
+	}
+	for i, e := range seen {
+		if e != int64(i) {
+			t.Errorf("sample %d: epoch = %d, want %d", i, e, i)
+		}
+		if ptrs[i] != ptrs[0] {
+			t.Errorf("sample %d handed to the sink in a new Sample, want the one reused sample", i)
+		}
 	}
 }
 
@@ -125,7 +119,7 @@ func (f sinkFunc) Observe(s *Sample) { f(s) }
 
 func TestCheckEnergy(t *testing.T) {
 	var cycle int64
-	r := NewRecorder(Config{Every: 10, Ring: 4}, 2, fillCounters(&cycle))
+	r := NewRecorder(Config{Every: 10}, 2, fillCounters(&cycle))
 	for cycle = 1; cycle <= 57; cycle++ {
 		r.Tick(cycle)
 	}
@@ -149,7 +143,7 @@ func TestCheckEnergy(t *testing.T) {
 
 func TestRecorderTickZeroAlloc(t *testing.T) {
 	var cycle int64
-	r := NewRecorder(Config{Every: 1, Ring: 16}, 4, fillCounters(&cycle))
+	r := NewRecorder(Config{Every: 1}, 4, fillCounters(&cycle))
 	cycle = 1
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.Tick(cycle)
@@ -171,7 +165,7 @@ func TestTickSamplesOnModuloBoundaries(t *testing.T) {
 	cs = append(cs, 1000, 1000, 1337, 1400, 1400, 1401, 5, 6, 7, 0, -7, -100, 99, 100, 101, 4096, 4095, 4097, 1<<40, 1<<40+1)
 	for _, every := range []int64{1, 3, 7, 64, 100} {
 		var cycle int64
-		r := NewRecorder(Config{Every: every, Ring: 4}, 1, fillCounters(&cycle))
+		r := NewRecorder(Config{Every: every}, 1, fillCounters(&cycle))
 		for _, cycle = range cs {
 			before := r.taken
 			r.Tick(cycle)

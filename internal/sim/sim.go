@@ -85,8 +85,8 @@ type Config struct {
 	IntraParallel int
 
 	// Observe, when non-nil, wires the epoch-sampled telemetry recorder
-	// into the run: one obs.Sample per Observe.Every cycles, recorded into
-	// a preallocated ring and streamed to Observe.Sink. The recorder only
+	// into the run: one obs.Sample per Observe.Every cycles, streamed to
+	// Observe.Sink. The recorder only
 	// reads simulation state, so an observed run is bit-identical to an
 	// unobserved one (the golden matrix pins this); disabled runs pay one
 	// nil check per cycle.
@@ -481,10 +481,6 @@ func (s *System) Balancer() *core.Balancer { return s.bal }
 // Invariants returns the invariant checker, or nil when Config.Invariants
 // is off.
 func (s *System) Invariants() *invariant.Checker { return s.inv }
-
-// Telemetry returns the epoch-sampled telemetry recorder, or nil when
-// Config.Observe is off.
-func (s *System) Telemetry() *obs.Recorder { return s.obs }
 
 // Cycle returns the current simulation cycle.
 func (s *System) Cycle() int64 { return s.cycle }

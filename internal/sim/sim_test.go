@@ -148,13 +148,13 @@ func TestDynamicPolicyUsesBoth(t *testing.T) {
 
 func TestPowerTraceCollected(t *testing.T) {
 	cfg := tiny("barnes", 2, TechNone, 0)
-	cfg.Observe = &obs.Config{Every: 100, Ring: 1 << 16}
+	var samples []obs.Sample
+	cfg.Observe = &obs.Config{Every: 100, Sink: sinkFunc(func(sm *obs.Sample) { samples = append(samples, sm.Clone()) })}
 	s, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Run()
-	samples := s.Telemetry().Samples()
 	if len(samples) == 0 {
 		t.Fatal("no power samples")
 	}
@@ -164,6 +164,11 @@ func TestPowerTraceCollected(t *testing.T) {
 		}
 	}
 }
+
+// sinkFunc adapts a function to obs.Sink.
+type sinkFunc func(*obs.Sample)
+
+func (f sinkFunc) Observe(s *obs.Sample) { f(s) }
 
 func TestMaxCyclesFlag(t *testing.T) {
 	cfg := tiny("ocean", 2, TechNone, 0)

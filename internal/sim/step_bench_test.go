@@ -57,7 +57,7 @@ func BenchmarkSimStepInvariants(b *testing.B) { benchSteps(b, true, nil) }
 // counter compare per cycle plus an O(cores) fill every epoch) is
 // measurable against BenchmarkSimStep in the same session.
 func BenchmarkSimStepTelemetry(b *testing.B) {
-	benchSteps(b, false, &obs.Config{Every: obs.DefaultEvery, Ring: 1})
+	benchSteps(b, false, &obs.Config{Every: obs.DefaultEvery})
 }
 
 // BenchmarkSimStepBigChip is the per-cycle cost of a live 64-core PTB

@@ -11,168 +11,52 @@ import (
 // was corrupted or hand-edited. Branch with errors.Is.
 var ErrDigestMismatch = errors.New("ptbsim: result digest mismatch")
 
-// This file pins the JSON wire schema of Result and Config. The Go field
-// names are API, but their JSON encoding is a second, independently stable
-// contract (the ptbsim -json output, the JSONL telemetry run records, and
-// any external tooling built on them), so both types marshal through
-// explicit wire structs with snake_case names instead of relying on
-// reflection over the Go names. Renaming a Go field can never silently
-// change the wire format; adding a field forces a deliberate schema
-// decision here.
+// The JSON wire schema of Result and Config is the json tags on their
+// fields: snake_case names fixed independently of the Go names, so a Go
+// rename never moves the wire (the ptbsim -json output, the JSONL
+// telemetry run records, the ptbserve store, journal and HTTP API, and any
+// external tooling built on them). Values with a parse syntax travel as
+// their parse names: Policy and FaultSpec through their text methods,
+// Technique as its string. The marshaled Config is also the Experiment
+// cache key, so its bytes must never move; TestWireBytesPinned compares
+// both types' marshaled bytes against literal streams, and
+// TestWireTagsDeclared makes every new exported field declare a json tag
+// (a name, or "-" for fields with no wire form).
 
-// resultJSON is Result's wire form. Digest is derived, not stored: it is
-// recomputed from the Result on marshal and — because encoding/json
-// round-trips float64 values bit-exactly — verified against the decoded
-// fields on unmarshal, making every serialized result self-checking
-// (ptbserve's on-disk store and the JSONL telemetry records rely on
-// this). Streams written before the field existed simply omit it and
-// skip verification.
-type resultJSON struct {
-	Benchmark string `json:"benchmark"`
-	Cores     int    `json:"cores"`
-	Technique string `json:"technique"`
-	Policy    string `json:"policy,omitempty"`
+// resultFields is Result without its methods, so marshaling it uses the
+// field tags instead of recursing into Result.MarshalJSON.
+type resultFields Result
 
-	Cycles    int64 `json:"cycles"`
-	Committed int64 `json:"committed"`
-
-	EnergyJ  float64 `json:"energy_j"`
-	AoPBJ    float64 `json:"aopb_j"`
-	BudgetPJ float64 `json:"budget_pj"`
-
-	MeanPowerW float64 `json:"mean_power_w"`
-	StdPowerW  float64 `json:"std_power_w"`
-
-	BusyFrac       float64 `json:"busy_frac"`
-	LockAcqFrac    float64 `json:"lock_acq_frac"`
-	LockRelFrac    float64 `json:"lock_rel_frac"`
-	BarrierFrac    float64 `json:"barrier_frac"`
-	SpinEnergyFrac float64 `json:"spin_energy_frac"`
-	OverBudgetFrac float64 `json:"over_budget_frac"`
-
-	MeanTempC float64 `json:"mean_temp_c"`
-	StdTempC  float64 `json:"std_temp_c"`
-
-	HitMaxCycles bool `json:"hit_max_cycles,omitempty"`
-
-	ComponentJ map[string]float64 `json:"component_j,omitempty"`
-
-	TokenDonatedPJ   float64 `json:"token_donated_pj"`
-	TokenGrantedPJ   float64 `json:"token_granted_pj"`
-	TokenDiscardedPJ float64 `json:"token_discarded_pj"`
-	BalanceRounds    int64   `json:"balance_rounds"`
-
-	CohGetS int64 `json:"coh_gets"`
-	CohGetX int64 `json:"coh_getx"`
-	CohPut  int64 `json:"coh_put"`
-	CohFwd  int64 `json:"coh_fwd"`
-	CohInv  int64 `json:"coh_inv"`
-
-	NoCMessages int64 `json:"noc_msgs"`
-	NoCFlits    int64 `json:"noc_flits"`
-
-	Degraded            bool    `json:"degraded,omitempty"`
-	FaultsInjected      int64   `json:"faults_injected,omitempty"`
-	TokenLostPJ         float64 `json:"token_lost_pj,omitempty"`
-	TokenDupPJ          float64 `json:"token_dup_pj,omitempty"`
-	TokenRetries        int64   `json:"token_retries,omitempty"`
-	TokenReportsLost    int64   `json:"token_reports_lost,omitempty"`
-	StaleFallbackCycles int64   `json:"stale_fallback_cycles,omitempty"`
-	NoCStallCycles      int64   `json:"noc_stall_cycles,omitempty"`
-	NoCRetransmits      int64   `json:"noc_retransmits,omitempty"`
-	DVFSGlitches        int64   `json:"dvfs_glitches,omitempty"`
-
+// resultWire is Result's wire form: its fields, then the derived digest.
+type resultWire struct {
+	resultFields
 	Digest string `json:"digest,omitempty"`
 }
 
-// MarshalJSON encodes the result in the stable wire schema.
+// MarshalJSON encodes the result with its digest appended. The digest is
+// derived, not stored: it is recomputed from the Result on marshal and —
+// because encoding/json round-trips float64 values bit-exactly — verified
+// against the decoded fields on unmarshal, making every serialized result
+// self-checking (ptbserve's on-disk store and the JSONL telemetry records
+// rely on this).
 func (r *Result) MarshalJSON() ([]byte, error) {
-	return json.Marshal(resultJSON{
-		Benchmark: r.Benchmark, Cores: r.Cores,
-		Technique: string(r.Technique), Policy: r.Policy,
-		Cycles: r.Cycles, Committed: r.Committed,
-		EnergyJ: r.EnergyJ, AoPBJ: r.AoPBJ, BudgetPJ: r.BudgetPJ,
-		MeanPowerW: r.MeanPowerW, StdPowerW: r.StdPowerW,
-		BusyFrac: r.BusyFrac, LockAcqFrac: r.LockAcqFrac,
-		LockRelFrac: r.LockRelFrac, BarrierFrac: r.BarrierFrac,
-		SpinEnergyFrac: r.SpinEnergyFrac, OverBudgetFrac: r.OverBudgetFrac,
-		MeanTempC: r.MeanTempC, StdTempC: r.StdTempC,
-		HitMaxCycles: r.HitMaxCycles, ComponentJ: r.ComponentJ,
-		TokenDonatedPJ: r.TokenDonatedPJ, TokenGrantedPJ: r.TokenGrantedPJ,
-		TokenDiscardedPJ: r.TokenDiscardedPJ, BalanceRounds: r.BalanceRounds,
-		CohGetS: r.CohGetS, CohGetX: r.CohGetX, CohPut: r.CohPut,
-		CohFwd: r.CohFwd, CohInv: r.CohInv,
-		NoCMessages: r.NoCMessages, NoCFlits: r.NoCFlits,
-		Degraded: r.Degraded, FaultsInjected: r.FaultsInjected,
-		TokenLostPJ: r.TokenLostPJ, TokenDupPJ: r.TokenDupPJ,
-		TokenRetries: r.TokenRetries, TokenReportsLost: r.TokenReportsLost,
-		StaleFallbackCycles: r.StaleFallbackCycles,
-		NoCStallCycles:      r.NoCStallCycles,
-		NoCRetransmits:      r.NoCRetransmits,
-		DVFSGlitches:        r.DVFSGlitches,
-		Digest:              r.Digest(),
-	})
+	return json.Marshal(resultWire{resultFields(*r), r.Digest()})
 }
 
-// UnmarshalJSON decodes the stable wire schema.
+// UnmarshalJSON decodes a result and verifies its digest. Streams written
+// before the digest existed simply omit it and skip verification.
 func (r *Result) UnmarshalJSON(data []byte) error {
-	var w resultJSON
+	var w resultWire
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	*r = Result{
-		Benchmark: w.Benchmark, Cores: w.Cores,
-		Technique: Technique(w.Technique), Policy: w.Policy,
-		Cycles: w.Cycles, Committed: w.Committed,
-		EnergyJ: w.EnergyJ, AoPBJ: w.AoPBJ, BudgetPJ: w.BudgetPJ,
-		MeanPowerW: w.MeanPowerW, StdPowerW: w.StdPowerW,
-		BusyFrac: w.BusyFrac, LockAcqFrac: w.LockAcqFrac,
-		LockRelFrac: w.LockRelFrac, BarrierFrac: w.BarrierFrac,
-		SpinEnergyFrac: w.SpinEnergyFrac, OverBudgetFrac: w.OverBudgetFrac,
-		MeanTempC: w.MeanTempC, StdTempC: w.StdTempC,
-		HitMaxCycles: w.HitMaxCycles, ComponentJ: w.ComponentJ,
-		TokenDonatedPJ: w.TokenDonatedPJ, TokenGrantedPJ: w.TokenGrantedPJ,
-		TokenDiscardedPJ: w.TokenDiscardedPJ, BalanceRounds: w.BalanceRounds,
-		CohGetS: w.CohGetS, CohGetX: w.CohGetX, CohPut: w.CohPut,
-		CohFwd: w.CohFwd, CohInv: w.CohInv,
-		NoCMessages: w.NoCMessages, NoCFlits: w.NoCFlits,
-		Degraded: w.Degraded, FaultsInjected: w.FaultsInjected,
-		TokenLostPJ: w.TokenLostPJ, TokenDupPJ: w.TokenDupPJ,
-		TokenRetries: w.TokenRetries, TokenReportsLost: w.TokenReportsLost,
-		StaleFallbackCycles: w.StaleFallbackCycles,
-		NoCStallCycles:      w.NoCStallCycles,
-		NoCRetransmits:      w.NoCRetransmits,
-		DVFSGlitches:        w.DVFSGlitches,
-	}
+	*r = Result(w.resultFields)
 	if w.Digest != "" {
 		if got := r.Digest(); got != w.Digest {
 			return fmt.Errorf("%w: stored %q, recomputed %q", ErrDigestMismatch, w.Digest, got)
 		}
 	}
 	return nil
-}
-
-// configJSON is Config's wire form. Policy travels as its lowercase parse
-// name, Faults as its canonical spec string (a *string so the zero spec
-// "" survives omitempty and stays distinct from nil). Observe is runtime
-// wiring — an interface holding live sinks — and deliberately has no wire
-// form; it is dropped on marshal and left nil on unmarshal. The marshaled
-// form is also the Experiment cache key, so this struct is the one list of
-// result-determining fields: a field that can change a Result must be
-// here, and one that cannot must not.
-type configJSON struct {
-	Benchmark             string  `json:"benchmark"`
-	Cores                 int     `json:"cores,omitempty"`
-	Technique             string  `json:"technique,omitempty"`
-	Policy                string  `json:"policy,omitempty"`
-	RelaxFrac             float64 `json:"relax_frac,omitempty"`
-	BudgetFrac            float64 `json:"budget_frac,omitempty"`
-	WorkloadScale         float64 `json:"workload_scale,omitempty"`
-	MaxCycles             int64   `json:"max_cycles,omitempty"`
-	PessimisticPTBLatency bool    `json:"pessimistic_ptb_latency,omitempty"`
-	PTBClusterSize        int     `json:"ptb_cluster_size,omitempty"`
-	CheckInvariants       bool    `json:"check_invariants,omitempty"`
-	Faults                *string `json:"faults,omitempty"`
 }
 
 // policyName is ParsePolicy's inverse: the lowercase wire name.
@@ -187,64 +71,27 @@ func policyName(p Policy) string {
 	}
 }
 
-// MarshalJSON encodes the config in the stable wire schema.
-func (c Config) MarshalJSON() ([]byte, error) {
-	w := configJSON{
-		Benchmark: c.Benchmark, Cores: c.Cores,
-		Technique: string(c.Technique),
-		RelaxFrac: c.RelaxFrac, BudgetFrac: c.BudgetFrac,
-		WorkloadScale: c.WorkloadScale, MaxCycles: c.MaxCycles,
-		PessimisticPTBLatency: c.PessimisticPTBLatency,
-		PTBClusterSize:        c.PTBClusterSize,
-		CheckInvariants:       c.CheckInvariants,
-	}
-	if c.Policy != ToAll {
-		w.Policy = policyName(c.Policy)
-	}
-	if c.Faults != nil {
-		spec := c.Faults.String()
-		w.Faults = &spec
-	}
-	return json.Marshal(w)
-}
+// MarshalText encodes the policy as its lowercase parse name.
+func (p Policy) MarshalText() ([]byte, error) { return []byte(policyName(p)), nil }
 
-// UnmarshalJSON decodes the stable wire schema; technique, policy and
-// fault-spec values go through the public parsers, so errors wrap the same
-// ErrBad* sentinels as Validate.
-func (c *Config) UnmarshalJSON(data []byte) error {
-	var w configJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	out := Config{
-		Benchmark: w.Benchmark, Cores: w.Cores,
-		RelaxFrac: w.RelaxFrac, BudgetFrac: w.BudgetFrac,
-		WorkloadScale: w.WorkloadScale, MaxCycles: w.MaxCycles,
-		PessimisticPTBLatency: w.PessimisticPTBLatency,
-		PTBClusterSize:        w.PTBClusterSize,
-		CheckInvariants:       w.CheckInvariants,
-	}
-	if w.Technique != "" {
-		t, err := ParseTechnique(w.Technique)
-		if err != nil {
+// UnmarshalText decodes a policy through ParsePolicy; errors wrap
+// ErrBadPolicy.
+func (p *Policy) UnmarshalText(b []byte) error { return parseText(p, b, ParsePolicy) }
+
+// UnmarshalText decodes a technique through ParseTechnique; errors wrap
+// ErrBadTechnique.
+func (t *Technique) UnmarshalText(b []byte) error { return parseText(t, b, ParseTechnique) }
+
+// parseText decodes a non-empty name through parse. The empty name decodes
+// to the zero value, as an omitted key does.
+func parseText[T any](dst *T, b []byte, parse func(string) (T, error)) error {
+	var v T
+	if len(b) > 0 {
+		var err error
+		if v, err = parse(string(b)); err != nil {
 			return err
 		}
-		out.Technique = t
 	}
-	if w.Policy != "" {
-		p, err := ParsePolicy(w.Policy)
-		if err != nil {
-			return err
-		}
-		out.Policy = p
-	}
-	if w.Faults != nil {
-		spec, err := ParseFaultSpec(*w.Faults)
-		if err != nil {
-			return err
-		}
-		out.Faults = &spec
-	}
-	*c = out
+	*dst = v
 	return nil
 }

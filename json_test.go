@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ptbsim"
@@ -293,5 +294,35 @@ func TestWireBytesPinned(t *testing.T) {
 		if string(again) != tc.want {
 			t.Errorf("%s: decode and re-marshal moved the bytes:\n got  %s\n want %s", tc.name, again, tc.want)
 		}
+	}
+}
+
+// TestWireTagsDeclared makes every exported field of Result and Config
+// declare its wire form: a json name, or "-" for a field with no wire
+// form. A field added without a tag would reach the wire (and the Config
+// cache key) under its Go name unnoticed.
+func TestWireTagsDeclared(t *testing.T) {
+	for _, typ := range []reflect.Type{reflect.TypeOf(ptbsim.Result{}), reflect.TypeOf(ptbsim.Config{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			if name, _, _ := strings.Cut(f.Tag.Get("json"), ","); name == "" {
+				t.Errorf("%s.%s has no json tag name", typ.Name(), f.Name)
+			}
+		}
+	}
+}
+
+// TestConfigJSONEmptyNames checks that an explicit empty technique or
+// policy decodes to the zero value, as an omitted key does.
+func TestConfigJSONEmptyNames(t *testing.T) {
+	var cfg ptbsim.Config
+	if err := json.Unmarshal([]byte(`{"benchmark":"fft","technique":"","policy":""}`), &cfg); err != nil {
+		t.Fatal(err)
+	}
+	if want := (ptbsim.Config{Benchmark: "fft"}); !reflect.DeepEqual(cfg, want) {
+		t.Errorf("decoded %+v, want %+v", cfg, want)
 	}
 }

@@ -30,13 +30,10 @@ const (
 	// DefaultTelemetryEvery is the sampling period in cycles when a
 	// Telemetry leaves Every zero.
 	DefaultTelemetryEvery = obs.DefaultEvery
-	// DefaultTelemetryRing is the in-memory ring capacity in samples when a
-	// Telemetry leaves Ring zero.
-	DefaultTelemetryRing = obs.DefaultRing
 )
 
 // Observer consumes telemetry samples as a run records them. The *Sample
-// passed to Observe points into the recorder's preallocated ring and is
+// passed to Observe is reused by the recorder for the next epoch, so it is
 // only valid for the duration of the call — retain Clone()s, not pointers.
 //
 // Observers attached to a single run (Config.Observe) are called from
@@ -58,9 +55,8 @@ type RunObserver interface {
 }
 
 // Telemetry configures the observability layer of a run (Config.Observe):
-// every Every cycles the simulator records one Sample into an in-memory
-// ring of Ring slots and streams it to Observer, if set. Zero values select
-// the defaults above.
+// every Every cycles the simulator records one Sample and streams it to
+// Observer, if set. A zero Every selects DefaultTelemetryEvery.
 //
 // Observation is passive — the recorder only reads simulation state — so a
 // run produces bit-identical results with telemetry on or off; the golden
@@ -69,10 +65,6 @@ type RunObserver interface {
 type Telemetry struct {
 	// Every is the sampling period in cycles (0 = DefaultTelemetryEvery).
 	Every int64
-	// Ring is the in-memory sample ring capacity (0 = DefaultTelemetryRing).
-	// Older samples are overwritten once the ring wraps; the Observer sees
-	// every sample regardless.
-	Ring int
 	// Observer, when non-nil, receives every sample as it is recorded.
 	Observer Observer
 }
@@ -81,9 +73,6 @@ type Telemetry struct {
 func (t *Telemetry) validate() error {
 	if t.Every < 0 {
 		return fmt.Errorf("ptbsim: %w: negative sampling period %d", ErrBadTelemetrySpec, t.Every)
-	}
-	if t.Ring < 0 {
-		return fmt.Errorf("ptbsim: %w: negative ring size %d", ErrBadTelemetrySpec, t.Ring)
 	}
 	return nil
 }
@@ -95,7 +84,7 @@ func (t *Telemetry) internal() *obs.Config {
 	if t == nil {
 		return nil
 	}
-	return &obs.Config{Every: t.Every, Ring: t.Ring, Sink: t.Observer}
+	return &obs.Config{Every: t.Every, Sink: t.Observer}
 }
 
 // lockedObserver serializes a shared observer across concurrent runs.

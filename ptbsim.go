@@ -105,33 +105,36 @@ func (p Policy) internal() core.Policy {
 	}
 }
 
-// Config describes one simulation.
+// Config describes one simulation. Its JSON form, set by the field tags,
+// is also the Experiment cache key, the ptbserve journal ID and the
+// result-store file name, so a field that can change a Result has a wire
+// name and one that cannot is tagged "-" (see json.go).
 type Config struct {
 	// Benchmark names a Table-2 workload (see Benchmarks).
-	Benchmark string
+	Benchmark string `json:"benchmark"`
 	// Cores is the CMP size (2–16 in the paper; default 4).
-	Cores int
+	Cores int `json:"cores,omitempty"`
 	// Technique is the budget mechanism (default None).
-	Technique Technique
+	Technique Technique `json:"technique,omitempty"`
 	// Policy applies to PTB runs.
-	Policy Policy
+	Policy Policy `json:"policy,omitempty"`
 	// RelaxFrac relaxes the trigger threshold (§IV.C): 0.20 = trigger only
 	// 20% above the budget, trading accuracy for energy.
-	RelaxFrac float64
+	RelaxFrac float64 `json:"relax_frac,omitempty"`
 	// BudgetFrac is the global budget as a fraction of rated peak power
 	// (default 0.5, the paper's headline configuration).
-	BudgetFrac float64
+	BudgetFrac float64 `json:"budget_frac,omitempty"`
 	// WorkloadScale shortens the run (1.0 = Table-2 working set).
-	WorkloadScale float64
+	WorkloadScale float64 `json:"workload_scale,omitempty"`
 	// MaxCycles is a safety cap (default 50M cycles).
-	MaxCycles int64
+	MaxCycles int64 `json:"max_cycles,omitempty"`
 	// PessimisticPTBLatency uses the 10-cycle worst-case token transfer
 	// the paper also evaluates.
-	PessimisticPTBLatency bool
+	PessimisticPTBLatency bool `json:"pessimistic_ptb_latency,omitempty"`
 	// PTBClusterSize, when >0, uses per-cluster balancers of that many
 	// cores instead of one chip-wide balancer (the paper's §III.E.2
 	// scalability scheme for large CMPs).
-	PTBClusterSize int
+	PTBClusterSize int `json:"ptb_cluster_size,omitempty"`
 	// CheckInvariants enables the runtime invariant layer: conservation-law
 	// and consistency checks (power-token conservation, energy-accounting
 	// identity, MOESI directory legality, queue occupancy bounds, NoC flit
@@ -139,32 +142,33 @@ type Config struct {
 	// run and once more at the end. A violation fails the run with an error
 	// wrapping ErrInvariantViolation. Disabled runs pay one nil comparison
 	// per simulated cycle.
-	CheckInvariants bool
+	CheckInvariants bool `json:"check_invariants,omitempty"`
 	// Faults, when non-nil, injects deterministic faults into the run: PTB
 	// token-message loss/delay/duplication, NoC link stalls and flit
 	// corruption, power-sensor noise and drift, DVFS transition glitches —
 	// see FaultSpec. A nil spec and the zero spec both run the ideal
 	// machine, bit-identically. Faults compose with CheckInvariants: every
 	// conservation invariant keeps holding under injection.
-	Faults *FaultSpec
+	Faults *FaultSpec `json:"faults,omitempty"`
 	// IntraParallel is ignored: every run steps its cores serially.
 	//
 	// Deprecated: intra-run tile parallelism was removed (DESIGN.md §13).
 	// The field stays only so existing callers keep compiling.
-	IntraParallel int
+	IntraParallel int `json:"-"`
 	// Observe, when non-nil, enables epoch-sampled telemetry: every
 	// Observe.Every cycles the run records one Sample (per-core power and
 	// token views, DVFS mode residency, sync-class occupancy, the PTB
-	// token ledger, NoC and cache pressure) into an in-memory ring and
-	// streams it to Observe.Observer. Observation is passive — results and
-	// digests are bit-identical with it on or off — and a nil Observe costs
-	// one nil check per cycle. See Telemetry and the bundled observers.
-	Observe *Telemetry
+	// token ledger, NoC and cache pressure) and streams it to
+	// Observe.Observer. Observation is passive — results and digests are
+	// bit-identical with it on or off — and a nil Observe costs one nil
+	// check per cycle. It holds live sinks, so it has no wire form. See
+	// Telemetry and the bundled observers.
+	Observe *Telemetry `json:"-"`
 	// Checkpoint is ignored: runs are never snapshotted mid-run.
 	//
 	// Deprecated: mid-run checkpoints were removed (DESIGN.md §14). The
 	// field stays only so existing callers keep compiling.
-	Checkpoint *Checkpoint
+	Checkpoint *Checkpoint `json:"-"`
 }
 
 // Checkpoint is the type of the ignored Config.Checkpoint field.
@@ -188,6 +192,7 @@ func (c Config) internal() (sim.Config, error) {
 		MaxCycles:      c.MaxCycles,
 		PTBClusterSize: c.PTBClusterSize,
 		Invariants:     c.CheckInvariants,
+		Faults:         c.Faults,
 	}
 	if c.Technique == "" {
 		cfg.Technique = sim.TechNone
@@ -196,86 +201,82 @@ func (c Config) internal() (sim.Config, error) {
 		lat := core.PessimisticLatency()
 		cfg.PTBLatency = &lat
 	}
-	if c.Faults != nil {
-		spec := c.Faults.internal()
-		cfg.Faults = &spec
-	}
 	cfg.Observe = c.Observe.internal()
 	return cfg, nil
 }
 
 // Result summarizes one run with the paper's metrics.
 type Result struct {
-	Benchmark string
-	Cores     int
-	Technique Technique
-	Policy    string
+	Benchmark string    `json:"benchmark"`
+	Cores     int       `json:"cores"`
+	Technique Technique `json:"technique"`
+	Policy    string    `json:"policy,omitempty"`
 
 	// Cycles is the parallel-phase runtime; Committed the instructions
 	// retired across all cores.
-	Cycles    int64
-	Committed int64
+	Cycles    int64 `json:"cycles"`
+	Committed int64 `json:"committed"`
 
 	// EnergyJ is total chip energy; AoPBJ the area over the power budget
 	// (Fig. 1), both in joules.
-	EnergyJ float64
-	AoPBJ   float64
+	EnergyJ float64 `json:"energy_j"`
+	AoPBJ   float64 `json:"aopb_j"`
 
 	// BudgetPJ is the global per-cycle power budget in picojoules — the
 	// line AoPBJ integrates over and telemetry samples carry, reported here
 	// so tooling never has to rebuild the system to learn it.
-	BudgetPJ float64
+	BudgetPJ float64 `json:"budget_pj"`
 
 	// MeanPowerW and StdPowerW characterize the chip power trace.
-	MeanPowerW float64
-	StdPowerW  float64
+	MeanPowerW float64 `json:"mean_power_w"`
+	StdPowerW  float64 `json:"std_power_w"`
 
 	// BusyFrac/LockAcqFrac/LockRelFrac/BarrierFrac are the Fig. 3
 	// execution-time breakdown; SpinEnergyFrac the Fig. 4 spinning power
 	// share.
-	BusyFrac       float64
-	LockAcqFrac    float64
-	LockRelFrac    float64
-	BarrierFrac    float64
-	SpinEnergyFrac float64
+	BusyFrac       float64 `json:"busy_frac"`
+	LockAcqFrac    float64 `json:"lock_acq_frac"`
+	LockRelFrac    float64 `json:"lock_rel_frac"`
+	BarrierFrac    float64 `json:"barrier_frac"`
+	SpinEnergyFrac float64 `json:"spin_energy_frac"`
 
 	// OverBudgetFrac is the fraction of cycles the chip exceeded the
 	// budget.
-	OverBudgetFrac float64
+	OverBudgetFrac float64 `json:"over_budget_frac"`
 
 	// MeanTempC and StdTempC summarize the lumped-RC thermal model.
-	MeanTempC float64
-	StdTempC  float64
+	MeanTempC float64 `json:"mean_temp_c"`
+	StdTempC  float64 `json:"std_temp_c"`
 
 	// HitMaxCycles marks a truncated run.
-	HitMaxCycles bool
+	HitMaxCycles bool `json:"hit_max_cycles,omitempty"`
 
 	// ComponentJ breaks total energy down by structure group (frontend,
 	// execute, caches, noc, dram, power-mgmt, clock, leakage), in joules.
-	ComponentJ map[string]float64
+	ComponentJ map[string]float64 `json:"component_j,omitempty"`
 
 	// TokenDonatedPJ/TokenGrantedPJ/TokenDiscardedPJ are the PTB balancer's
 	// token-flow ledger in picojoules (zero for non-PTB techniques), and
 	// BalanceRounds the number of balancing rounds run. Conservation —
 	// donated = granted + discarded once the run drains — is one of the
 	// checked invariants.
-	TokenDonatedPJ   float64
-	TokenGrantedPJ   float64
-	TokenDiscardedPJ float64
-	BalanceRounds    int64
+	TokenDonatedPJ   float64 `json:"token_donated_pj"`
+	TokenGrantedPJ   float64 `json:"token_granted_pj"`
+	TokenDiscardedPJ float64 `json:"token_discarded_pj"`
+	BalanceRounds    int64   `json:"balance_rounds"`
 
 	// CohGetS/CohGetX/CohPut/CohFwd/CohInv count coherence transactions
 	// across all home directory banks.
-	CohGetS int64
-	CohGetX int64
-	CohPut  int64
-	CohFwd  int64
-	CohInv  int64
+	CohGetS int64 `json:"coh_gets"`
+	CohGetX int64 `json:"coh_getx"`
+	CohPut  int64 `json:"coh_put"`
+	CohFwd  int64 `json:"coh_fwd"`
+	CohInv  int64 `json:"coh_inv"`
 
 	// NoCMessages and NoCFlits count mesh messages injected and flit-link
 	// traversals.
-	NoCMessages int64
-	NoCFlits    int64
+	NoCMessages int64 `json:"noc_msgs"`
+	NoCFlits    int64 `json:"noc_flits"`
 
 	// Fault-injection telemetry, all zero when Config.Faults is nil or the
 	// zero spec. None of these fields enter Digest — the digest format is
@@ -284,26 +285,26 @@ type Result struct {
 	// Degraded marks a run in which the PTB balancer left ideal operation:
 	// a token batch was lost past the retry bound, or the stale-token
 	// watchdog fell back to a core's static share.
-	Degraded bool
+	Degraded bool `json:"degraded,omitempty"`
 	// FaultsInjected counts every fault decision that fired, all domains.
-	FaultsInjected int64
+	FaultsInjected int64 `json:"faults_injected,omitempty"`
 	// TokenLostPJ and TokenDupPJ extend the token ledger under injection:
 	// energy of batches lost past the retry bound, and extra energy from
 	// duplicated batches (conservation becomes donated + dup = granted +
 	// discarded + lost once the run drains).
-	TokenLostPJ float64
-	TokenDupPJ  float64
+	TokenLostPJ float64 `json:"token_lost_pj,omitempty"`
+	TokenDupPJ  float64 `json:"token_dup_pj,omitempty"`
 	// TokenRetries counts token-batch retransmissions, TokenReportsLost
 	// lost core→balancer report messages, and StaleFallbackCycles the
 	// core-cycles the watchdog spent on the static-share fallback.
-	TokenRetries        int64
-	TokenReportsLost    int64
-	StaleFallbackCycles int64
+	TokenRetries        int64 `json:"token_retries,omitempty"`
+	TokenReportsLost    int64 `json:"token_reports_lost,omitempty"`
+	StaleFallbackCycles int64 `json:"stale_fallback_cycles,omitempty"`
 	// NoCStallCycles and NoCRetransmits tally injected link faults.
-	NoCStallCycles int64
-	NoCRetransmits int64
+	NoCStallCycles int64 `json:"noc_stall_cycles,omitempty"`
+	NoCRetransmits int64 `json:"noc_retransmits,omitempty"`
 	// DVFSGlitches counts failed DVFS mode transitions.
-	DVFSGlitches int64
+	DVFSGlitches int64 `json:"dvfs_glitches,omitempty"`
 }
 
 func fromMetrics(r *metrics.RunResult) *Result {

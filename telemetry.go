@@ -15,8 +15,6 @@ import (
 type TelemetrySpec struct {
 	// Every is the sampling period in cycles (0 = DefaultTelemetryEvery).
 	Every int64
-	// Ring is the in-memory ring capacity (0 = DefaultTelemetryRing).
-	Ring int
 	// Path is the output file; "" or "-" means standard output.
 	Path string
 	// Format is "jsonl" (the default when empty) or "csv".
@@ -28,9 +26,9 @@ type TelemetrySpec struct {
 // flag:
 //
 //	"every=2048,out=run.jsonl"
-//	"every=512,format=csv,out=power.csv,ring=4096"
+//	"every=512,format=csv,out=power.csv"
 //
-// Keys (all optional): every, ring, out, format. Unknown or repeated keys
+// Keys (all optional): every, out, format. Unknown or repeated keys
 // and malformed values return an error wrapping ErrBadTelemetrySpec; the
 // empty string parses to the zero spec.
 func ParseTelemetrySpec(in string) (TelemetrySpec, error) {
@@ -60,12 +58,6 @@ func ParseTelemetrySpec(in string) (TelemetrySpec, error) {
 				return TelemetrySpec{}, fmt.Errorf("ptbsim: %w: every=%q (want a non-negative cycle count)", ErrBadTelemetrySpec, v)
 			}
 			s.Every = n
-		case "ring":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				return TelemetrySpec{}, fmt.Errorf("ptbsim: %w: ring=%q (want a non-negative sample count)", ErrBadTelemetrySpec, v)
-			}
-			s.Ring = n
 		case "out":
 			s.Path = v
 		case "format":
@@ -75,7 +67,7 @@ func ParseTelemetrySpec(in string) (TelemetrySpec, error) {
 			}
 			s.Format = f
 		default:
-			return TelemetrySpec{}, fmt.Errorf("ptbsim: %w: unknown key %q (valid: every, ring, out, format)", ErrBadTelemetrySpec, k)
+			return TelemetrySpec{}, fmt.Errorf("ptbsim: %w: unknown key %q (valid: every, out, format)", ErrBadTelemetrySpec, k)
 		}
 	}
 	return s, nil
@@ -88,9 +80,6 @@ func (s TelemetrySpec) String() string {
 	var parts []string
 	if s.Every != 0 {
 		parts = append(parts, "every="+strconv.FormatInt(s.Every, 10))
-	}
-	if s.Ring != 0 {
-		parts = append(parts, "ring="+strconv.Itoa(s.Ring))
 	}
 	if s.Path != "" {
 		parts = append(parts, "out="+s.Path)
@@ -107,9 +96,6 @@ func (s TelemetrySpec) String() string {
 func (s TelemetrySpec) Validate() error {
 	if s.Every < 0 {
 		return fmt.Errorf("ptbsim: %w: negative sampling period %d", ErrBadTelemetrySpec, s.Every)
-	}
-	if s.Ring < 0 {
-		return fmt.Errorf("ptbsim: %w: negative ring size %d", ErrBadTelemetrySpec, s.Ring)
 	}
 	switch s.Format {
 	case "", "jsonl", "csv":
@@ -169,5 +155,5 @@ func (s TelemetrySpec) Start() (*Telemetry, func() error, error) {
 		}
 		return err
 	}
-	return &Telemetry{Every: s.Every, Ring: s.Ring, Observer: obsv}, closeFn, nil
+	return &Telemetry{Every: s.Every, Observer: obsv}, closeFn, nil
 }

@@ -11,15 +11,14 @@ import (
 
 func TestParseTelemetrySpec(t *testing.T) {
 	good := map[string]TelemetrySpec{
-		"":                        {},
-		"every=2048":              {Every: 2048},
-		"every=512,ring=64":       {Every: 512, Ring: 64},
-		"out=run.jsonl":           {Path: "run.jsonl"},
-		"out=-":                   {Path: "-"},
-		"format=CSV,out=p.csv":    {Format: "csv", Path: "p.csv"},
-		" every = 64 , out = x ":  {Every: 64, Path: "x"},
-		"EVERY=16,FORMAT=jsonl":   {Every: 16, Format: "jsonl"},
-		"ring=8,every=32,out=a=b": {Every: 32, Ring: 8, Path: "a=b"},
+		"":                       {},
+		"every=2048":             {Every: 2048},
+		"out=run.jsonl":          {Path: "run.jsonl"},
+		"out=-":                  {Path: "-"},
+		"format=CSV,out=p.csv":   {Format: "csv", Path: "p.csv"},
+		" every = 64 , out = x ": {Every: 64, Path: "x"},
+		"EVERY=16,FORMAT=jsonl":  {Every: 16, Format: "jsonl"},
+		"every=32,out=a=b":       {Every: 32, Path: "a=b"},
 	}
 	for in, want := range good {
 		got, err := ParseTelemetrySpec(in)
@@ -37,6 +36,7 @@ func TestParseTelemetrySpec(t *testing.T) {
 	bad := []string{
 		"every=-1", "every=x", "ring=-2", "ring=1.5", "format=xml",
 		"bogus=1", "every", "every=1,every=2", "every=1,,ring=2",
+		"every=512,ring=64", "ring=8,every=32,out=a=b",
 	}
 	for _, in := range bad {
 		if _, err := ParseTelemetrySpec(in); !errors.Is(err, ErrBadTelemetrySpec) {
@@ -48,7 +48,6 @@ func TestParseTelemetrySpec(t *testing.T) {
 func TestTelemetrySpecValidate(t *testing.T) {
 	for _, bad := range []TelemetrySpec{
 		{Every: -1},
-		{Ring: -1},
 		{Format: "xml"},
 		{Path: "a,b"},
 	} {
