@@ -185,9 +185,9 @@ func (e *Experiment) normalize(cfg Config) Config {
 // stable wire JSON (Config's json tags), which holds exactly the
 // result-determining fields and round-trips every float64 bit-exactly, so
 // two configs share a key only if they run the same simulation. Observe
-// has no wire form and stays out: it cannot change a result. Callers validate cfg first, and
-// Validate rejects the non-finite floats, the only values json.Marshal
-// refuses.
+// has no wire form and stays out: it cannot change a result. Callers
+// validate cfg first, and Validate rejects the non-finite floats, the only
+// values json.Marshal refuses.
 func (e *Experiment) key(cfg Config) string {
 	b, err := json.Marshal(cfg)
 	if err != nil {

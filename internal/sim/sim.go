@@ -86,10 +86,9 @@ type Config struct {
 
 	// Observe, when non-nil, wires the epoch-sampled telemetry recorder
 	// into the run: one obs.Sample per Observe.Every cycles, streamed to
-	// Observe.Sink. The recorder only
-	// reads simulation state, so an observed run is bit-identical to an
-	// unobserved one (the golden matrix pins this); disabled runs pay one
-	// nil check per cycle.
+	// Observe.Sink. The recorder only reads simulation state, so an
+	// observed run is bit-identical to an unobserved one (the golden matrix
+	// pins this); disabled runs pay one nil check per cycle.
 	Observe *obs.Config
 
 	// Faults, when non-nil, wires the deterministic fault-injection engine

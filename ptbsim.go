@@ -106,9 +106,9 @@ func (p Policy) internal() core.Policy {
 }
 
 // Config describes one simulation. Its JSON form, set by the field tags,
-// is also the Experiment cache key, the ptbserve journal ID and the
-// result-store file name, so a field that can change a Result has a wire
-// name and one that cannot is tagged "-" (see json.go).
+// is also the Experiment cache key, the ptbserve journal ID and, hashed,
+// the result-store file name, so a field that can change a Result has a
+// wire name and one that cannot is tagged "-" (see json.go).
 type Config struct {
 	// Benchmark names a Table-2 workload (see Benchmarks).
 	Benchmark string `json:"benchmark"`
@@ -205,7 +205,8 @@ func (c Config) internal() (sim.Config, error) {
 	return cfg, nil
 }
 
-// Result summarizes one run with the paper's metrics.
+// Result summarizes one run with the paper's metrics. Its JSON form is the
+// field tags followed by a self-verifying "digest" (see json.go).
 type Result struct {
 	Benchmark string    `json:"benchmark"`
 	Cores     int       `json:"cores"`
