@@ -31,10 +31,22 @@ type Progress struct {
 }
 
 // Experiment runs simulations through the parallel experiment engine:
-// a bounded worker pool with per-configuration caching, single-flight
-// deduplication (two goroutines asking for the same configuration share
-// one simulation), context cancellation, panic recovery, and streaming
-// progress. All methods are safe for concurrent use. Returned Results are
+// one priority queue served by a bounded worker pool, with
+// per-configuration caching, single-flight deduplication (two goroutines
+// asking for the same configuration share one simulation), panic
+// recovery, and streaming progress. Run, RunAll, RunSweep and Submit all
+// go through that queue.
+//
+// Cancellation follows one rule: a caller's context bounds admission and
+// the caller's wait, never the simulation. A caller that gives up gets an
+// error wrapping its context error at once, while the simulation keeps
+// going for every other caller and its result still enters the cache.
+// Close stops running simulations; RunContext is the directly cancellable
+// single run.
+//
+// Workers start on demand and exit when the queue is empty, so an
+// Experiment that is never closed holds no goroutines once its work is
+// done. All methods are safe for concurrent use. Returned Results are
 // shared across callers and must be treated as read-only.
 type Experiment struct {
 	scale       float64
@@ -52,17 +64,17 @@ type Experiment struct {
 
 	eng *sched.Scheduler[*Result]
 
-	mu   sync.Mutex // serializes progress callbacks and the sweep counter
-	done int
+	mu sync.Mutex // serializes progress callbacks and the sweep counters
 }
 
 // Option configures an Experiment.
 type Option func(*Experiment)
 
-// WithParallelism bounds the worker pool for sweeps (default
-// runtime.NumCPU(); n < 1 selects that default too). Parallelism 1
-// reproduces a fully serial sweep — results are identical either way,
-// simulations being deterministic.
+// WithParallelism bounds the worker pool, and so the number of
+// simulations the experiment runs at once through any entry point
+// (default runtime.NumCPU(); n < 1 selects that default too).
+// Parallelism 1 reproduces a fully serial sweep — results are identical
+// either way, simulations being deterministic.
 func WithParallelism(n int) Option {
 	return func(e *Experiment) { e.parallelism = n }
 }
@@ -148,7 +160,7 @@ func NewExperiment(opts ...Option) *Experiment {
 	return e
 }
 
-// Parallelism reports the sweep worker-pool bound.
+// Parallelism reports the worker-pool bound.
 func (e *Experiment) Parallelism() int { return e.parallelism }
 
 // normalize applies the experiment-level defaults to cfg and collapses
@@ -225,31 +237,28 @@ func (e *Experiment) notifyLocked(p Progress) {
 	}
 }
 
-// emit delivers one progress event; the lock serializes concurrent
-// callbacks from sweep workers.
+// emit delivers one single-run progress event (Done and Total 1); the
+// lock serializes concurrent callbacks from the workers.
 func (e *Experiment) emit(p Progress) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	p.Done, p.Total = 1, 1
 	e.notifyLocked(p)
 }
 
 // Run returns the result for one configuration, simulating it at most
-// once per experiment no matter how many goroutines ask concurrently.
+// once per experiment no matter how many goroutines ask concurrently. It
+// is Submit at priority 0 followed by Job.Await(ctx): ctx bounds the
+// admission and the wait, not the simulation (see Experiment), and after
+// Drain or Close Run fails with ErrDraining. The configuration's one
+// Progress event is emitted when its simulation resolves, also if this
+// caller has stopped waiting.
 func (e *Experiment) Run(ctx context.Context, cfg Config) (*Result, error) {
-	cfg = e.normalize(cfg)
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	fresh := false
-	res, err := e.eng.Do(ctx, e.key(cfg), func(ctx context.Context) (*Result, error) {
-		fresh = true
-		return e.execute(ctx, cfg, 0)
-	})
-	e.emit(Progress{Config: cfg, Result: res, Err: err, Cached: err == nil && !fresh, Done: 1, Total: 1})
+	j, err := e.Submit(ctx, cfg, 0)
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return j.Await(ctx)
 }
 
 // Base returns the no-control base case matching cfg (same benchmark,
@@ -317,61 +326,53 @@ func (e *SweepError) Unwrap() []error {
 // slot holds its result on return. Failed slots are nil, and the error is
 // a *SweepError listing each failure with its index and configuration; it
 // unwraps to all of them, so errors.Is still answers "did anything fail
-// that way". Only the caller's context
-// ends a sweep early (undispatched slots then fail with ctx.Err(), and
-// the returned error wraps it).
+// that way".
+//
+// Invalid configurations are reported up front; the valid ones are
+// submitted at priority 0, each taking a WithQueue slot until a worker
+// picks it up, and awaited in input order. Progress events carry a
+// Done/Total count local to this call. When ctx ends, RunAll returns at
+// once: slots still unresolved fail with an error wrapping ctx.Err(), no
+// further Progress is reported for this call, and their simulations go
+// on detached (see Experiment) until they finish or Close stops them.
+// After Drain or Close every valid slot fails with ErrDraining.
 func (e *Experiment) RunAll(ctx context.Context, cfgs []Config) ([]*Result, error) {
-	results := make([]*Result, len(cfgs))
-	errs := make([]error, len(cfgs))
-	normed := make([]Config, len(cfgs))
-	fresh := make([]bool, len(cfgs))
-	var jobs []sched.Job[*Result]
-	var jobIdx []int // job slot → cfgs index (invalid configs get no job)
-	for i, cfg := range cfgs {
-		cfg = e.normalize(cfg)
-		normed[i] = cfg
-		if err := cfg.Validate(); err != nil {
-			errs[i] = err
-			continue
-		}
-		i, cfg := i, cfg
-		jobs = append(jobs, sched.Job[*Result]{
-			Key: e.key(cfg),
-			Run: func(ctx context.Context) (*Result, error) {
-				fresh[i] = true
-				return e.execute(ctx, cfg, 0)
-			},
-		})
-		jobIdx = append(jobIdx, i)
-	}
 	total := len(cfgs)
-	e.mu.Lock()
-	e.done = 0
-	e.mu.Unlock()
-	// Invalid configurations are reported up front, before any simulation
-	// runs; they occupy their slot in the Done/Total ramp like any other.
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		e.mu.Lock()
-		e.done++
-		e.notifyLocked(Progress{Config: normed[i], Err: err, Done: e.done, Total: total})
-		e.mu.Unlock()
+	results := make([]*Result, total)
+	errs := make([]error, total)
+	normed := make([]Config, total)
+	for i, cfg := range cfgs {
+		normed[i] = e.normalize(cfg)
+		errs[i] = normed[i].Validate()
 	}
-	vals, jobErrs := e.eng.ForEachAll(ctx, jobs, func(j int, res *Result, err error) {
-		i := jobIdx[j]
-		if err != nil && ctx.Err() != nil {
-			return // cancellation noise; reported by the returned error
-		}
+	done := 0 // guarded by e.mu
+	report := func(p Progress) {
 		e.mu.Lock()
-		e.done++
-		e.notifyLocked(Progress{Config: normed[i], Result: res, Err: err,
-			Cached: err == nil && !fresh[i], Done: e.done, Total: total})
-		e.mu.Unlock()
-	})
-	for j, i := range jobIdx {
-		results[i], errs[i] = vals[j], jobErrs[j]
+		defer e.mu.Unlock()
+		if ctx.Err() != nil {
+			return // the caller has left; the returned error reports the rest
+		}
+		done++
+		p.Done, p.Total = done, total
+		e.notifyLocked(p)
+	}
+	// Invalid configurations are reported before any simulation runs; they
+	// occupy their slot in the Done/Total ramp like any other.
+	for i, err := range errs {
+		if err != nil {
+			report(Progress{Config: normed[i], Err: err})
+		}
+	}
+	jobs := make([]*Job, total)
+	for i, cfg := range normed {
+		if errs[i] == nil {
+			jobs[i], errs[i] = e.submit(ctx, cfg, SubmitOptions{}, report)
+		}
+	}
+	for i, j := range jobs {
+		if j != nil {
+			results[i], errs[i] = j.Await(ctx)
+		}
 	}
 	var failures []*ConfigError
 	for i, err := range errs {

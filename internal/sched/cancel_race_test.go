@@ -14,18 +14,25 @@ import (
 // bare ctx error next to a silent zero value, and never (zero, nil).
 func TestCanceledWaiterGetsTypedError(t *testing.T) {
 	s := New[int](2)
+	defer s.Close()
 	started := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	go s.Do(context.Background(), "slow", func(context.Context) (int, error) {
+	if _, err := s.Submit(context.Background(), Job[int]{Key: "slow", Run: func(context.Context) (int, error) {
 		close(started)
 		<-release
 		return 1, nil
-	})
+	}}); err != nil {
+		t.Fatal(err)
+	}
 	<-started
+	waiter, err := s.Submit(context.Background(), Job[int]{Key: "slow", Run: func(context.Context) (int, error) { return 2, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := s.Do(ctx, "slow", func(context.Context) (int, error) { return 2, nil })
+	_, err = waiter.Await(ctx)
 	var ce *CanceledError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v (%T), want *CanceledError", err, err)

@@ -344,8 +344,9 @@ func TestFailedTicketState(t *testing.T) {
 	}
 }
 
-// TestPluggableCacheBackend: a custom Cache sees Puts from Do and answers
-// later Do/Submit calls without re-running.
+// TestPluggableCacheBackend: a custom Cache answers submissions of the
+// keys it holds, sees the Puts of fresh runs, and answers later
+// submissions of those without re-running.
 func TestPluggableCacheBackend(t *testing.T) {
 	backend := NewMemCache[int]()
 	backend.Put("warm", 99)
@@ -353,14 +354,14 @@ func TestPluggableCacheBackend(t *testing.T) {
 	defer s.Close()
 	var calls int32
 	run := func(context.Context) (int, error) { atomic.AddInt32(&calls, 1); return 5, nil }
-	if v, err := s.Do(context.Background(), "warm", run); err != nil || v != 99 {
-		t.Fatalf("Do(warm) = %d, %v — backend not consulted", v, err)
+	if v, err := submitAwait(s, context.Background(), "warm", run); err != nil || v != 99 {
+		t.Fatalf("warm = %d, %v — backend not consulted", v, err)
 	}
-	if v, err := s.Do(context.Background(), "cold", run); err != nil || v != 5 {
-		t.Fatalf("Do(cold) = %d, %v", v, err)
+	if v, err := submitAwait(s, context.Background(), "cold", run); err != nil || v != 5 {
+		t.Fatalf("cold = %d, %v", v, err)
 	}
 	if v, ok := backend.Get("cold"); !ok || v != 5 {
-		t.Fatalf("backend.Get(cold) = %d, %t — Do result not written through", v, ok)
+		t.Fatalf("backend.Get(cold) = %d, %t — run result not written through", v, ok)
 	}
 	tk, err := s.Submit(context.Background(), Job[int]{Key: "cold", Run: run})
 	if err != nil {

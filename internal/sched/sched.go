@@ -1,21 +1,24 @@
 // Package sched is the reusable job scheduler underneath the public
-// experiment API, the figure builders and the ptbserve service. It runs
-// keyed, deterministic jobs with:
+// experiment API, the figure builders and the ptbserve service. Every job
+// goes through one path: Submit puts it on a bounded priority queue that a
+// pool of at most Workers goroutines serves, and the returned Ticket's
+// Await waits for the result. On top of that path it provides:
 //
 //   - result caching — a key is computed at most once per scheduler, with
 //     a pluggable Cache backend so an in-memory map and an on-disk store
 //     share one contract;
-//   - single-flight deduplication — concurrent requests for the same key
-//     coalesce onto one in-flight run instead of computing it twice,
-//     whether they arrive through Do, ForEachAll or Submit;
-//   - a bounded priority queue — Submit enqueues work for a persistent
-//     worker pool, returning a Ticket with typed states and a
-//     context-aware Await; a full queue rejects with ErrQueueFull
-//     (backpressure), and Drain stops intake while finishing everything
-//     already accepted;
-//   - context cancellation — callers waiting on a run return as soon as
-//     their context is done with a typed *CanceledError, and pool sweeps
-//     stop dispatching;
+//   - single-flight deduplication — a Submit for a key already queued or
+//     running coalesces onto that run instead of computing it twice;
+//   - backpressure and shutdown — a full queue rejects with ErrQueueFull,
+//     Drain stops intake while finishing everything already accepted, and
+//     Close abandons the queue and cancels running jobs;
+//   - one cancellation rule — a caller's context bounds admission (Submit)
+//     and the wait (Await), never the run: a cancelled wait returns a typed
+//     *CanceledError while the job keeps going for every other caller, and
+//     only Close stops running jobs;
+//   - on-demand workers — Submit starts a worker while fewer than Workers
+//     are active, and a worker exits when the queue is empty, so an idle
+//     scheduler holds no goroutines and needs no Close to release them;
 //   - per-run panic recovery — a panicking job is retried once (transient
 //     corruption) and surfaces as a *PanicError if it panics again;
 //   - completion events — a submission's OnDone callback receives the
@@ -48,13 +51,12 @@ func (e *PanicError) Error() string {
 }
 
 // CanceledError reports a request abandoned because the caller's context
-// ended while its result was still being computed — by this caller or by
-// another one it had coalesced onto. The computation itself keeps going
-// for any remaining callers; only this caller's wait is abandoned. It
-// wraps the context error, so errors.Is(err, context.Canceled) and
-// errors.Is(err, context.DeadlineExceeded) keep working, while errors.As
-// recovers which key was abandoned — the typed replacement for the old
-// engine's bare ctx.Err() next to a zero value.
+// ended before admission or while its result was still being computed.
+// The computation itself keeps going for any remaining callers; only this
+// caller's wait is abandoned. It wraps the context error, so
+// errors.Is(err, context.Canceled) and errors.Is(err,
+// context.DeadlineExceeded) keep working, while errors.As recovers which
+// key was abandoned.
 type CanceledError struct {
 	// Key identifies the abandoned request.
 	Key string
@@ -197,31 +199,30 @@ func WithQueueCap[V any](n int) Option[V] {
 	return func(s *Scheduler[V]) { s.queueCap = n }
 }
 
-// Scheduler caches and deduplicates keyed jobs, fans sweeps out over a
-// bounded worker pool, and queues Submitted work for a persistent pool of
-// the same size. The zero value is not usable; construct with New.
+// Scheduler caches and deduplicates keyed jobs and runs them from a
+// priority queue on at most Workers goroutines. The zero value is not
+// usable; construct with New.
 type Scheduler[V any] struct {
 	workers  int
 	queueCap int
 	cache    Cache[V]
 
 	mu       sync.Mutex
-	cond     *sync.Cond // signaled on queue pushes and lifecycle changes
+	cond     *sync.Cond // broadcast when a worker exits: wakes Drain
 	inflight map[string]*flight[V]
 	pending  queue[V]
 	seq      uint64
-	running  int  // queued jobs currently executing on workers
-	draining bool // Drain called: no new Submits
-	closed   bool // Close called or Drain finished: workers exit
+	active   int  // worker goroutines started and not yet exited
+	running  int  // jobs currently executing on workers
+	draining bool // Drain or Close called: no new Submits
 
-	workersOnce sync.Once
-	baseCtx     context.Context
-	baseCancel  context.CancelFunc
-	workerWG    sync.WaitGroup
+	baseCtx    context.Context
+	baseCancel context.CancelFunc
+	workerWG   sync.WaitGroup
 }
 
-// New returns a scheduler whose sweeps and Submit queue use the given
-// number of workers; workers < 1 selects runtime.NumCPU().
+// New returns a scheduler that runs at most workers jobs at once;
+// workers < 1 selects runtime.NumCPU().
 func New[V any](workers int, opts ...Option[V]) *Scheduler[V] {
 	if workers < 1 {
 		workers = runtime.NumCPU()
@@ -241,7 +242,7 @@ func New[V any](workers int, opts ...Option[V]) *Scheduler[V] {
 	return s
 }
 
-// Workers reports the pool size.
+// Workers reports the bound on concurrently running jobs.
 func (s *Scheduler[V]) Workers() int { return s.workers }
 
 // Cached reports the cached value for key, if any.
@@ -252,37 +253,6 @@ func (s *Scheduler[V]) Cached(key string) (V, bool) {
 // Len reports the number of cached results.
 func (s *Scheduler[V]) Len() int {
 	return s.cache.Len()
-}
-
-// Do returns the result for key, computing it with fn at most once no
-// matter how many goroutines ask concurrently — fn runs on the caller's
-// goroutine, not the Submit pool. Successful results are cached; errors
-// are not, so a later request retries. A caller whose ctx ends while
-// another caller's run is in flight returns a *CanceledError immediately
-// (the run itself keeps going for the others); a flight that completed in
-// the same instant wins the race and its result is returned instead.
-func (s *Scheduler[V]) Do(ctx context.Context, key string, fn func(context.Context) (V, error)) (V, error) {
-	var zero V
-	if err := ctx.Err(); err != nil {
-		return zero, &CanceledError{Key: key, Err: err}
-	}
-	s.mu.Lock()
-	if v, ok := s.cache.Get(key); ok {
-		s.mu.Unlock()
-		return v, nil
-	}
-	if fl, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
-		return s.await(ctx, key, fl)
-	}
-	fl := &flight[V]{done: make(chan struct{})}
-	s.inflight[key] = fl
-	s.mu.Unlock()
-
-	fl.val, fl.err, fl.retried = s.runProtected(ctx, key, fn)
-
-	s.finish(key, fl)
-	return fl.val, fl.err
 }
 
 // finish publishes a completed flight: the result enters the cache (on
@@ -297,25 +267,6 @@ func (s *Scheduler[V]) finish(key string, fl *flight[V]) {
 	delete(s.inflight, key)
 	s.mu.Unlock()
 	fl.resolve()
-}
-
-// await waits for another caller's flight, honoring ctx. On cancellation
-// it re-checks the flight first: a result that is already complete is
-// delivered rather than dropped for a *CanceledError.
-func (s *Scheduler[V]) await(ctx context.Context, key string, fl *flight[V]) (V, error) {
-	var zero V
-	select {
-	case <-fl.done:
-	case <-ctx.Done():
-		select {
-		case <-fl.done:
-			// The flight resolved in the same instant the context died;
-			// prefer the real result over a cancellation error.
-		default:
-			return zero, &CanceledError{Key: key, Err: ctx.Err()}
-		}
-	}
-	return fl.val, fl.err
 }
 
 // runProtected executes fn with panic recovery, retrying once.
@@ -341,81 +292,19 @@ func attempt[V any](ctx context.Context, key string, fn func(context.Context) (V
 	return v, err, nil
 }
 
-// Job is one keyed unit of work for ForEachAll and Submit.
+// Job is one keyed unit of work for Submit.
 type Job[V any] struct {
 	// Key identifies the job for caching and deduplication.
 	Key string
-	// Run computes the result.
+	// Run computes the result. Its context is the scheduler's, cancelled
+	// only by Close — never by a submitter's context.
 	Run func(context.Context) (V, error)
-	// Priority orders Submitted jobs: higher runs sooner; equal
-	// priorities run in submission order. Ignored by ForEachAll.
+	// Priority orders the queue: higher runs sooner; equal priorities run
+	// in submission order.
 	Priority int
 	// OnDone, when non-nil, is invoked exactly once when this submission
 	// resolves — with Cached or Coalesced set when the result came from
 	// the cache or another caller's run. It runs on whichever goroutine
-	// resolves the ticket and must be safe for concurrent use. Ignored by
-	// ForEachAll (use its onDone argument there).
+	// resolves the ticket and must be safe for concurrent use.
 	OnDone func(Event[V])
-}
-
-// ForEachAll runs every job through Do on at most Workers goroutines and
-// returns per-slot results and errors in job order. A job error does not
-// cancel the rest of the pool — every job still runs, so
-// callers get every completable result plus the full error picture. Only
-// the caller's context stops the sweep early: slots never dispatched
-// because ctx ended hold ctx.Err() (and the zero value). onDone, when
-// non-nil, fires once per dispatched slot from whichever worker finished
-// it (it must be safe for concurrent use); undispatched slots get no
-// callback.
-func (s *Scheduler[V]) ForEachAll(ctx context.Context, jobs []Job[V], onDone func(i int, v V, err error)) ([]V, []error) {
-	results := make([]V, len(jobs))
-	errs := make([]error, len(jobs))
-	if len(jobs) == 0 {
-		return results, errs
-	}
-
-	s.mu.Lock()
-	workers := s.workers
-	s.mu.Unlock()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				v, err := s.Do(ctx, jobs[i].Key, jobs[i].Run)
-				results[i], errs[i] = v, err
-				if onDone != nil {
-					onDone(i, v, err)
-				}
-			}
-		}()
-	}
-	// dispatched is written only here (the dispatching goroutine) and read
-	// only after wg.Wait, so it needs no lock.
-	dispatched := make([]bool, len(jobs))
-dispatch:
-	for i := range jobs {
-		select {
-		case next <- i:
-			dispatched[i] = true
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		for i := range jobs {
-			if !dispatched[i] {
-				errs[i] = err
-			}
-		}
-	}
-	return results, errs
 }

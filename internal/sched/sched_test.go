@@ -10,6 +10,15 @@ import (
 	"time"
 )
 
+// submitAwait submits one job and waits for its result under ctx.
+func submitAwait(s *Scheduler[int], ctx context.Context, key string, fn func(context.Context) (int, error)) (int, error) {
+	tk, err := s.Submit(ctx, Job[int]{Key: key, Run: fn})
+	if err != nil {
+		return 0, err
+	}
+	return tk.Await(ctx)
+}
+
 func TestDoCachesResults(t *testing.T) {
 	e := New[int](2)
 	var calls int32
@@ -18,9 +27,9 @@ func TestDoCachesResults(t *testing.T) {
 		return 42, nil
 	}
 	for i := 0; i < 3; i++ {
-		v, err := e.Do(context.Background(), "k", fn)
+		v, err := submitAwait(e, context.Background(), "k", fn)
 		if err != nil || v != 42 {
-			t.Fatalf("Do = %d, %v", v, err)
+			t.Fatalf("Submit/Await = %d, %v", v, err)
 		}
 	}
 	if calls != 1 {
@@ -44,12 +53,12 @@ func TestDoErrorsAreNotCached(t *testing.T) {
 		}
 		return 7, nil
 	}
-	if _, err := e.Do(context.Background(), "k", fn); !errors.Is(err, boom) {
-		t.Fatalf("first Do err = %v", err)
+	if _, err := submitAwait(e, context.Background(), "k", fn); !errors.Is(err, boom) {
+		t.Fatalf("first run err = %v", err)
 	}
-	v, err := e.Do(context.Background(), "k", fn)
+	v, err := submitAwait(e, context.Background(), "k", fn)
 	if err != nil || v != 7 {
-		t.Fatalf("retry Do = %d, %v", v, err)
+		t.Fatalf("retry = %d, %v", v, err)
 	}
 }
 
@@ -71,7 +80,7 @@ func TestSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = e.Do(context.Background(), "same", fn)
+			_, errs[i] = submitAwait(e, context.Background(), "same", fn)
 		}(i)
 	}
 	// Let the goroutines pile up on the flight, then release the one run.
@@ -88,24 +97,34 @@ func TestSingleFlight(t *testing.T) {
 	}
 }
 
+// TestWaiterHonorsCancellation: a caller coalesced onto a running job
+// returns as soon as its context is cancelled, while the run goes on.
 func TestWaiterHonorsCancellation(t *testing.T) {
 	e := New[int](2)
+	defer e.Close()
 	started := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	go e.Do(context.Background(), "slow", func(context.Context) (int, error) {
+	slow, err := e.Submit(context.Background(), Job[int]{Key: "slow", Run: func(context.Context) (int, error) {
 		close(started)
 		<-release
 		return 1, nil
-	})
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
+	waiter, err := e.Submit(ctx, Job[int]{Key: "slow", Run: func(context.Context) (int, error) { return 2, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.Do(ctx, "slow", func(context.Context) (int, error) { return 2, nil })
+		_, err := waiter.Await(ctx)
 		done <- err
 	}()
+	cancel()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
@@ -113,6 +132,9 @@ func TestWaiterHonorsCancellation(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("cancelled waiter did not return promptly")
+	}
+	if st := slow.State(); st != StateRunning {
+		t.Fatalf("run state after the waiter left = %v, want running", st)
 	}
 }
 
@@ -151,7 +173,7 @@ func TestPanicRetriesOnce(t *testing.T) {
 
 func TestDoublePanicSurfacesError(t *testing.T) {
 	e := New[int](1)
-	_, err := e.Do(context.Background(), "broken", func(context.Context) (int, error) {
+	_, err := submitAwait(e, context.Background(), "broken", func(context.Context) (int, error) {
 		panic("hard")
 	})
 	var pe *PanicError
@@ -163,27 +185,31 @@ func TestDoublePanicSurfacesError(t *testing.T) {
 	}
 }
 
+// TestForEachRunsAllAndDedups: a batch of submissions with duplicate keys
+// resolves every ticket, in submission order, with one run per key.
 func TestForEachRunsAllAndDedups(t *testing.T) {
 	e := New[int](4)
 	var calls int32
-	jobs := make([]Job[int], 20)
-	for i := range jobs {
+	tickets := make([]*Ticket[int], 20)
+	for i := range tickets {
 		v := i % 5 // four duplicates of each key
-		jobs[i] = Job[int]{
+		tk, err := e.Submit(context.Background(), Job[int]{
 			Key: fmt.Sprint("k", v),
 			Run: func(context.Context) (int, error) {
 				atomic.AddInt32(&calls, 1)
 				return v, nil
 			},
+		})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
 		}
+		tickets[i] = tk
 	}
-	out, errs := e.ForEachAll(context.Background(), jobs, nil)
-	for i, err := range errs {
+	for i, tk := range tickets {
+		v, err := tk.Await(context.Background())
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
-	}
-	for i, v := range out {
 		if v != i%5 {
 			t.Fatalf("out[%d] = %d, want %d", i, v, i%5)
 		}
@@ -193,14 +219,16 @@ func TestForEachRunsAllAndDedups(t *testing.T) {
 	}
 }
 
+// TestForEachBoundsConcurrency: however many jobs are queued, at most
+// Workers run at once, and the workers exit once the queue is empty.
 func TestForEachBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	e := New[int](workers)
 	var cur, peak int32
-	jobs := make([]Job[int], 24)
-	for i := range jobs {
+	tickets := make([]*Ticket[int], 24)
+	for i := range tickets {
 		i := i
-		jobs[i] = Job[int]{
+		tk, err := e.Submit(context.Background(), Job[int]{
 			Key: fmt.Sprint(i),
 			Run: func(context.Context) (int, error) {
 				n := atomic.AddInt32(&cur, 1)
@@ -214,30 +242,48 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 				atomic.AddInt32(&cur, -1)
 				return i, nil
 			},
-		}
-	}
-	_, errs := e.ForEachAll(context.Background(), jobs, nil)
-	for i, err := range errs {
+		})
 		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		tickets[i] = tk
+	}
+	for i, tk := range tickets {
+		if _, err := tk.Await(context.Background()); err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
 	}
 	if peak > workers {
 		t.Fatalf("observed %d concurrent jobs, pool bound is %d", peak, workers)
 	}
+	if err := e.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	e.mu.Lock()
+	active := e.active
+	e.mu.Unlock()
+	if active != 0 {
+		t.Fatalf("%d workers still active after the queue emptied", active)
+	}
 }
 
+// TestForEachHonorsCancelledContext: a submission under an already
+// cancelled context is refused with a typed error and never runs.
 func TestForEachHonorsCancelledContext(t *testing.T) {
 	e := New[int](2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran int32
-	_, errs := e.ForEachAll(ctx, []Job[int]{{Key: "a", Run: func(context.Context) (int, error) {
+	_, err := e.Submit(ctx, Job[int]{Key: "a", Run: func(context.Context) (int, error) {
 		atomic.AddInt32(&ran, 1)
 		return 1, nil
-	}}}, nil)
-	if !errors.Is(errs[0], context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", errs[0])
+	}})
+	var ce *CanceledError
+	if !errors.As(err, &ce) || ce.Key != "a" || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want a *CanceledError for \"a\" wrapping context.Canceled", err)
+	}
+	if err := e.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	if ran != 0 {
 		t.Fatal("a job ran under a cancelled context")
