@@ -59,7 +59,7 @@ bench:
 # It exits 1 when a change run is incorrect or fails more ops than its base
 # run, or when an end-to-end metric is worse than its base run by more than
 # its BENCHMARK.json bound in every pair. CI's bench-ab job runs it at
-# PAIRS=3 on matrix-4c against the pull request's base.
+# PAIRS=3 WORKLOAD=all against the pull request's base.
 PAIRS ?= 10
 WORKLOAD ?= matrix-4c
 bench-ab:
