@@ -3,6 +3,8 @@ package ptbsim_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strconv"
 	"testing"
 
 	"ptbsim"
@@ -241,5 +243,68 @@ func TestFaultSpecRoundTrip(t *testing.T) {
 		Faults: &ptbsim.FaultSpec{TokenDrop: -1}}
 	if err := cfg.Validate(); !errors.Is(err, ptbsim.ErrBadFaultSpec) {
 		t.Fatalf("Config.Validate with a bad spec: %v", err)
+	}
+}
+
+// faultLedger renders every fault-telemetry field Digest leaves out, floats
+// in exact hexadecimal, so a pinned literal catches last-ULP drift.
+func faultLedger(r *ptbsim.Result) string {
+	f := func(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
+	return fmt.Sprintf("degraded=%t injected=%d lost=%s dup=%s retries=%d reports_lost=%d stale=%d stalls=%d retransmits=%d glitches=%d",
+		r.Degraded, r.FaultsInjected, f(r.TokenLostPJ), f(r.TokenDupPJ), r.TokenRetries,
+		r.TokenReportsLost, r.StaleFallbackCycles, r.NoCStallCycles, r.NoCRetransmits, r.DVFSGlitches)
+}
+
+// TestFaultLedgerPinned pins the digest and the fault ledger of four
+// faulted cells: clustered PTB (the one path that sums the ledger over
+// several balancers), the spin gate, chip-wide PTB and DVFS (the governor
+// glitch path). No golden file carries these fields, so without this test
+// a change in how the ledger is gathered would go unseen.
+func TestFaultLedgerPinned(t *testing.T) {
+	spec, err := ptbsim.ParseFaultSpec("seed=9,stall=0.01,corrupt=0.01,noise=0.02,drop=0.3,dup=0.05,glitch=0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := []struct {
+		cfg            ptbsim.Config
+		digest, ledger string
+	}{
+		{
+			cfg:    ptbsim.Config{Benchmark: "ocean", Cores: 8, Technique: ptbsim.PTB, Policy: ptbsim.Dynamic, PTBClusterSize: 4},
+			digest: "ocean/8/ptb/Dynamic cycles=95498 committed=69127 energy=0x1.c6b868de7f1a5p-13 aopb=0x1.915efd2db6829p-19 tokens=0x1.44d76923d6fefp+22/0x1.4484c40bf24a4p+22/0x1.ba83faaaaaa8ap+17 rounds=22405 coh=4294/1111/801/2074/144 noc=20296/250134 sha=b63eef2af671",
+			ledger: "degraded=true injected=1004565 lost=0x1.489058bf258bep+15 dup=0x1.0129b6eeeeee9p+18 retries=9439 reports_lost=229141 stale=0 stalls=6112 retransmits=349 glitches=3",
+		},
+		{
+			cfg:    ptbsim.Config{Benchmark: "ocean", Cores: 8, Technique: ptbsim.PTBSpinGate, Policy: ptbsim.Dynamic},
+			digest: "ocean/8/ptbgate/Dynamic cycles=98757 committed=69742 energy=0x1.b30ad42494039p-13 aopb=0x1.734cf18a41f3dp-19 tokens=0x1.b8e9463bbbb9bp+22/0x1.8c4e2b2aaad83p+22/0x1.f2e4999999982p+19 rounds=14499 coh=4284/1114/793/2073/141 noc=20252/248562 sha=30ff8f61423a",
+			ledger: "degraded=true injected=1034850 lost=0x1.0b968a3d70a3dp+16 dup=0x1.5efd24b17e4b5p+18 retries=6166 reports_lost=237079 stale=0 stalls=6096 retransmits=349 glitches=3",
+		},
+		{
+			cfg:    ptbsim.Config{Benchmark: "ocean", Cores: 4, Technique: ptbsim.PTB, Policy: ptbsim.Dynamic},
+			digest: "ocean/4/ptb/Dynamic cycles=87527 committed=32987 energy=0x1.ac9f22fc319aep-14 aopb=0x1.1e1ee0b0cc656p-18 tokens=0x1.64fb1cfc962bp+21/0x1.6d3892e4b1761p+21/0x1.f82f2b851eb3fp+15 rounds=10577 coh=2180/555/396/913/59 noc=10086/73534 sha=5966ba1ad701",
+			ledger: "degraded=true injected=460367 lost=0x1.f5eaa3d70a3dap+14 dup=0x1.40a07dddddddap+17 retries=4595 reports_lost=104790 stale=0 stalls=1712 retransmits=104 glitches=1",
+		},
+		{
+			cfg:    ptbsim.Config{Benchmark: "ocean", Cores: 4, Technique: ptbsim.DVFS},
+			digest: "ocean/4/dvfs cycles=86954 committed=33104 energy=0x1.94b4946975856p-14 aopb=0x1.1978622a551ebp-18 tokens=0x0p+00/0x0p+00/0x0p+00 rounds=0 coh=2187/553/396/918/63 noc=10115/73672 sha=2b125d9818fa",
+			ledger: "degraded=false injected=348028 lost=0x0p+00 dup=0x0p+00 retries=0 reports_lost=0 stale=0 stalls=1712 retransmits=104 glitches=1",
+		},
+	}
+	cfgs := make([]ptbsim.Config, len(cells))
+	for i, c := range cells {
+		cfgs[i] = c.cfg
+	}
+	e := ptbsim.NewExperiment(ptbsim.WithScale(0.05), ptbsim.WithInvariants(), ptbsim.WithFaults(spec))
+	results, err := e.RunAll(context.Background(), cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if got := r.Digest(); got != cells[i].digest {
+			t.Errorf("cell %d digest:\n got  %s\n want %s", i, got, cells[i].digest)
+		}
+		if got := faultLedger(r); got != cells[i].ledger {
+			t.Errorf("cell %d fault ledger:\n got  %s\n want %s", i, got, cells[i].ledger)
+		}
 	}
 }
