@@ -40,7 +40,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		cores   = fs.String("cores", "4", "comma-separated CMP sizes for the matrix")
 		benches = fs.String("benches", "", "comma-separated benchmarks (default: all 14)")
 		techsIn = fs.String("techs", "", "comma-separated techniques (default: all)")
-		cluster = fs.Int("cluster", 0, "PTB cluster size applied to the PTB-family runs (0 = one chip-wide balancer)")
+		cluster = fs.Int("cluster", 0, "PTB cluster size for the ptb runs (0 = one chip-wide balancer; ptbgate is always chip-wide)")
 		par     = fs.Int("par", runtime.NumCPU(), "parallel simulations (output is identical at any value)")
 		check   = fs.Bool("check", true, "enable runtime invariant checks on every run")
 		quiet   = fs.Bool("q", false, "suppress per-run progress")
@@ -120,7 +120,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	cfgs := sweep.Configs()
 	if *cluster > 0 {
 		for i := range cfgs {
-			if cfgs[i].Technique == ptbsim.PTB || cfgs[i].Technique == ptbsim.PTBSpinGate {
+			if cfgs[i].Technique == ptbsim.PTB {
 				cfgs[i].PTBClusterSize = *cluster
 			}
 		}

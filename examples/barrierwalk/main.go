@@ -39,10 +39,13 @@ type nullSync struct{}
 
 func (nullSync) Eval(int, isa.Inst) int64 { return 0 }
 
-// recorder captures the grants each cycle.
-type recorder struct{ extra []float64 }
+// recorder captures the grants each cycle. The embedded None supplies
+// the (empty) state hash.
+type recorder struct {
+	budget.None
+	extra []float64
+}
 
-func (r *recorder) Name() string { return "recorder" }
 func (r *recorder) Tick(st *budget.ChipState) {
 	r.extra = append([]float64(nil), st.ExtraPJ...)
 }

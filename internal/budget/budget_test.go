@@ -178,9 +178,6 @@ func TestNoneController(t *testing.T) {
 	var c None
 	st.Refresh(1)
 	c.Tick(st)
-	if c.Name() != "none" {
-		t.Fatal("name")
-	}
 	if st.Cores[0].Speed() != 1 {
 		t.Fatal("none controller changed core speed")
 	}

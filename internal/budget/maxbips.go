@@ -40,9 +40,6 @@ func NewMaxBIPS(n int) *MaxBIPS {
 	}
 }
 
-// Name identifies the technique.
-func (m *MaxBIPS) Name() string { return "maxbips" }
-
 // Transitions returns the number of mode changes applied.
 func (m *MaxBIPS) Transitions() int64 { return m.transitions }
 

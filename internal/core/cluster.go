@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ptbsim/internal/budget"
-	"ptbsim/internal/fault"
 )
 
 // ClusteredBalancer is the paper's scalability proposal (§III.E.2): "one
@@ -23,7 +22,6 @@ type ClusteredBalancer struct {
 	views     []*budget.ChipState
 	inner     budget.Controller
 	built     bool
-	policy    Policy
 }
 
 // NewClusteredBalancer creates per-cluster balancers of groupSize cores
@@ -36,7 +34,7 @@ func NewClusteredBalancer(n, groupSize int, policy Policy, inner budget.Controll
 	if groupSize > n {
 		groupSize = n
 	}
-	c := &ClusteredBalancer{groupSize: groupSize, inner: inner, policy: policy}
+	c := &ClusteredBalancer{groupSize: groupSize, inner: inner}
 	for start := 0; start < n; start += groupSize {
 		size := groupSize
 		if start+size > n {
@@ -47,57 +45,19 @@ func NewClusteredBalancer(n, groupSize int, policy Policy, inner budget.Controll
 	return c
 }
 
-// Name identifies the technique.
-func (c *ClusteredBalancer) Name() string {
-	return "ptb-clustered+" + c.inner.Name()
-}
-
-// Groups returns the per-cluster balancers (stats/tests).
+// Groups returns the per-cluster balancers, in core order.
 func (c *ClusteredBalancer) Groups() []*Balancer { return c.groups }
 
-// Inner exposes the chip-wide inner controller (for fault wiring through
-// the controller stack).
-func (c *ClusteredBalancer) Inner() budget.Controller { return c.inner }
-
-// SetFaults wires one shared token fault stream into every cluster. The
-// clusters tick in a fixed order each cycle, so sharing the stream keeps
-// the decision sequence deterministic.
-func (c *ClusteredBalancer) SetFaults(inj *fault.TokenInjector) {
-	for _, g := range c.groups {
-		g.SetFaults(inj)
-	}
-}
-
-// FaultStats aggregates the degradation ledger across clusters.
-func (c *ClusteredBalancer) FaultStats() (lostPJ, dupPJ float64, retries, reportsLost, staleCycles int64) {
-	for _, g := range c.groups {
-		l, d, r, rl, sc := g.FaultStats()
-		lostPJ += l
-		dupPJ += d
-		retries += r
-		reportsLost += rl
-		staleCycles += sc
-	}
-	return
-}
-
-// Degraded reports whether any cluster left ideal operation.
-func (c *ClusteredBalancer) Degraded() bool {
-	for _, g := range c.groups {
-		if g.Degraded() {
-			return true
-		}
-	}
-	return false
-}
-
-// CheckConservation verifies token conservation independently for every
-// cluster (tokens never cross cluster boundaries, so each group must
-// balance its own ledger).
-func (c *ClusteredBalancer) CheckConservation() error {
-	for gi, g := range c.groups {
-		if err := g.CheckConservation(); err != nil {
-			return fmt.Errorf("cluster %d: %w", gi, err)
+// CheckConservation verifies token conservation for each balancer in bals.
+// Tokens never cross cluster boundaries, so every cluster must balance its
+// own ledger; with more than one balancer the error names the cluster.
+func CheckConservation(bals []*Balancer) error {
+	for i, b := range bals {
+		if err := b.CheckConservation(); err != nil {
+			if len(bals) > 1 {
+				return fmt.Errorf("cluster %d: %w", i, err)
+			}
+			return err
 		}
 	}
 	return nil

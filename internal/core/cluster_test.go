@@ -64,10 +64,3 @@ func TestClusteredBalancerUnevenGroups(t *testing.T) {
 		c.Tick(st)
 	}
 }
-
-func TestClusteredName(t *testing.T) {
-	c := NewClusteredBalancer(32, 8, PolicyDynamic, budget.NewTwoLevel(32, 0))
-	if c.Name() != "ptb-clustered+2level" {
-		t.Fatalf("name %q", c.Name())
-	}
-}

@@ -66,19 +66,27 @@ func TestCheckConservationDetectsLeak(t *testing.T) {
 	}
 }
 
-// TestClusteredCheckConservation verifies the clustered balancer checks
-// every group and names the broken one.
-func TestClusteredCheckConservation(t *testing.T) {
+// TestCheckConservationNamesCluster verifies CheckConservation checks
+// every cluster's balancer and names the broken one, and that a lone
+// chip-wide balancer's error text is the balancer's own.
+func TestCheckConservationNamesCluster(t *testing.T) {
 	c := NewClusteredBalancer(8, 4, PolicyToAll, budget.None{})
-	if err := c.CheckConservation(); err != nil {
+	if err := CheckConservation(c.Groups()); err != nil {
 		t.Fatalf("fresh clusters violate: %v", err)
 	}
 	c.Groups()[1].grantedPJ = 42
-	err := c.CheckConservation()
+	err := CheckConservation(c.Groups())
 	if err == nil {
 		t.Fatal("cluster ledger corruption went undetected")
 	}
 	if !strings.Contains(err.Error(), "cluster 1") {
 		t.Fatalf("error %q does not name the broken cluster", err)
+	}
+
+	b := NewBalancer(4, PolicyToAll, budget.None{})
+	b.grantedPJ = 42
+	err = CheckConservation([]*Balancer{b})
+	if err == nil || err.Error() != b.CheckConservation().Error() {
+		t.Fatalf("lone balancer error %q, want the balancer's own %q", err, b.CheckConservation())
 	}
 }

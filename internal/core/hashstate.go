@@ -1,24 +1,6 @@
 package core
 
-import (
-	"ptbsim/internal/budget"
-	"ptbsim/internal/statehash"
-)
-
-// hashInner covers the budget-package controllers a balancer can wrap
-// (the chip-level dispatch for the outer controller lives in sim).
-func hashInner(h *statehash.Hasher, ctl budget.Controller) {
-	switch c := ctl.(type) {
-	case budget.None:
-		c.HashState(h)
-	case *budget.DVFSController:
-		c.HashState(h)
-	case *budget.TwoLevel:
-		c.HashState(h)
-	case *budget.MaxBIPS:
-		c.HashState(h)
-	}
-}
+import "ptbsim/internal/statehash"
 
 // HashState folds the balancer's mutable state into h for state
 // digests: the token ledger, in-flight batches, the spin detector, and
@@ -26,7 +8,7 @@ func hashInner(h *statehash.Hasher, ctl budget.Controller) {
 // rebuilt from scratch each round). The field order is append-only.
 func (b *Balancer) HashState(h *statehash.Hasher) {
 	h.WriteInt(b.n)
-	hashInner(h, b.inner)
+	b.inner.HashState(h)
 	h.WriteInt(len(b.flights))
 	for i := range b.flights {
 		h.WriteI64(b.flights[i].arriveAt)
@@ -70,7 +52,7 @@ func (d *PowerPatternDetector) hashState(h *statehash.Hasher) {
 // views mirror slices of the chip state, which is hashed separately.
 func (c *ClusteredBalancer) HashState(h *statehash.Hasher) {
 	h.WriteBool(c.built)
-	hashInner(h, c.inner)
+	c.inner.HashState(h)
 	h.WriteInt(len(c.groups))
 	for _, g := range c.groups {
 		g.HashState(h)

@@ -185,13 +185,6 @@ func (b *Balancer) SetWireBits(bits int) {
 	b.wireQuanta = (1 << bits) - 1
 }
 
-// Name identifies the technique.
-func (b *Balancer) Name() string { return "ptb+" + b.inner.Name() }
-
-// Inner exposes the wrapped budget controller (for fault wiring through the
-// controller stack).
-func (b *Balancer) Inner() budget.Controller { return b.inner }
-
 // SetFaults wires a token-exchange fault stream into the balancer and
 // activates the graceful-degradation machinery (report view, stale-token
 // watchdog, bounded retransmit). With all rates zero the faulted paths are

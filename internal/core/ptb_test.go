@@ -28,10 +28,10 @@ func (nullSync) Eval(int, isa.Inst) int64 { return 0 }
 
 // recorder is an inner controller that records the state it saw.
 type recorder struct {
+	budget.None
 	extras [][]float64
 }
 
-func (r *recorder) Name() string { return "recorder" }
 func (r *recorder) Tick(st *budget.ChipState) {
 	snap := append([]float64(nil), st.ExtraPJ...)
 	r.extras = append(r.extras, snap)
@@ -246,13 +246,6 @@ func TestPTBEnergyCharged(t *testing.T) {
 	b.Tick(st)
 	if st.Meter.Count(0, power.EvPTBWire) == 0 || st.Meter.Count(0, power.EvPTBLogic) == 0 {
 		t.Fatal("PTB hardware energy not charged")
-	}
-}
-
-func TestBalancerName(t *testing.T) {
-	b := NewBalancer(2, PolicyToAll, budget.NewTwoLevel(2, 0))
-	if b.Name() != "ptb+2level" {
-		t.Fatalf("name = %s", b.Name())
 	}
 }
 

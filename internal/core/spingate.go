@@ -50,12 +50,6 @@ func NewSpinGate(bal *Balancer) *SpinGate {
 	return g
 }
 
-// Name identifies the technique.
-func (g *SpinGate) Name() string { return g.bal.Name() + "+spingate" }
-
-// Balancer exposes the wrapped PTB mechanism.
-func (g *SpinGate) Balancer() *Balancer { return g.bal }
-
 // GatedCycles returns how many core-cycles were sleep-gated.
 func (g *SpinGate) GatedCycles() int64 { return g.gatedCycles }
 

@@ -8,14 +8,15 @@ import (
 
 func TestSpinGateGatesFlaggedCores(t *testing.T) {
 	st := newPTBState(2, 2000, nil) // local 1000
-	g := NewSpinGate(NewBalancer(2, PolicyToAll, budget.None{}))
+	b := NewBalancer(2, PolicyToAll, budget.None{})
+	g := NewSpinGate(b)
 
 	// Train the detector: core 1 low and stable, core 0 busy.
 	for cyc := int64(0); cyc < 2000; cyc++ {
 		setEst(st, cyc, 950, 200)
 		g.Tick(st)
 	}
-	if !g.Balancer().Detector().Spinning(1) {
+	if !b.Detector().Spinning(1) {
 		t.Fatal("precondition: core 1 should be flagged")
 	}
 	if g.GatedCycles() == 0 {
@@ -44,21 +45,15 @@ func TestSpinGateGatesFlaggedCores(t *testing.T) {
 	}
 }
 
-func TestSpinGateName(t *testing.T) {
-	g := NewSpinGate(NewBalancer(4, PolicyDynamic, budget.NewTwoLevel(4, 0)))
-	if g.Name() != "ptb+2level+spingate" {
-		t.Fatalf("name = %q", g.Name())
-	}
-}
-
 func TestSpinGateReleasesWhenBusy(t *testing.T) {
 	st := newPTBState(1, 1000, nil)
-	g := NewSpinGate(NewBalancer(1, PolicyToAll, budget.None{}))
+	b := NewBalancer(1, PolicyToAll, budget.None{})
+	g := NewSpinGate(b)
 	for cyc := int64(0); cyc < 2000; cyc++ {
 		setEst(st, cyc, 150)
 		g.Tick(st)
 	}
-	if !g.Balancer().Detector().Spinning(0) {
+	if !b.Detector().Spinning(0) {
 		t.Fatal("precondition: should be flagged")
 	}
 	// Core resumes useful work: the masked detector sees only open-window
@@ -68,7 +63,7 @@ func TestSpinGateReleasesWhenBusy(t *testing.T) {
 		noise := float64(cyc%5) * 200
 		setEst(st, cyc, 900+noise)
 		g.Tick(st)
-		if !st.Cores[0].Knobs().SleepGate && !g.Balancer().Detector().Spinning(0) {
+		if !st.Cores[0].Knobs().SleepGate && !b.Detector().Spinning(0) {
 			released = cyc
 			break
 		}
@@ -87,7 +82,8 @@ func TestSpinGateDetectorMaskPreventsLivelock(t *testing.T) {
 	// power only on sleep cycles and busy power in open windows — the core
 	// must eventually unflag.
 	st := newPTBState(1, 1000, nil)
-	g := NewSpinGate(NewBalancer(1, PolicyToAll, budget.None{}))
+	b := NewBalancer(1, PolicyToAll, budget.None{})
+	g := NewSpinGate(b)
 	for cyc := int64(0); cyc < 1000; cyc++ {
 		setEst(st, cyc, 150)
 		g.Tick(st)
@@ -101,7 +97,7 @@ func TestSpinGateDetectorMaskPreventsLivelock(t *testing.T) {
 			setEst(st, cyc, 850+noise) // working hard in its window
 		}
 		g.Tick(st)
-		if !g.Balancer().Detector().Spinning(0) {
+		if !b.Detector().Spinning(0) {
 			unflagged = true
 			break
 		}

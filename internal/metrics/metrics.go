@@ -144,19 +144,6 @@ func (c *Collector) SpinEnergyFrac() float64 {
 // observers that difference successive readouts.
 func (c *Collector) ClassCycles() [isa.NumSyncClasses]int64 { return c.classCycles }
 
-// ClassAvgPJ returns the average per-core-cycle energy spent in each
-// activity class — the calibration view of how hot a busy core runs versus
-// a spinning one.
-func (c *Collector) ClassAvgPJ() [isa.NumSyncClasses]float64 {
-	var out [isa.NumSyncClasses]float64
-	for i := range out {
-		if c.classCycles[i] > 0 {
-			out[i] = c.classEnergy[i] / float64(c.classCycles[i])
-		}
-	}
-	return out
-}
-
 // RunResult is the summary of one simulation run.
 type RunResult struct {
 	Benchmark string
@@ -237,17 +224,6 @@ type RunResult struct {
 	DVFSGlitches int64
 }
 
-// EDP returns the energy-delay product in joule-seconds.
-func (r *RunResult) EDP() float64 {
-	return r.EnergyJ * float64(r.Cycles) * CycleSeconds
-}
-
-// ED2P returns the energy-delay² product in joule-seconds².
-func (r *RunResult) ED2P() float64 {
-	d := float64(r.Cycles) * CycleSeconds
-	return r.EnergyJ * d * d
-}
-
 // NormalizedEnergyPct returns the paper's "Normalized Energy (%)": the
 // energy delta of r versus the no-control base, in percent (negative =
 // savings).
@@ -274,30 +250,4 @@ func SlowdownPct(r, base *RunResult) float64 {
 		return 0
 	}
 	return (float64(r.Cycles)/float64(base.Cycles) - 1) * 100
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Std returns the population standard deviation of xs.
-func Std(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	v := 0.0
-	for _, x := range xs {
-		d := x - m
-		v += d * d
-	}
-	return math.Sqrt(v / float64(len(xs)))
 }

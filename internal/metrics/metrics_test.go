@@ -89,19 +89,6 @@ func TestNormalizationZeroBase(t *testing.T) {
 	}
 }
 
-func TestMeanStd(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if Mean(xs) != 5 {
-		t.Fatalf("mean = %v", Mean(xs))
-	}
-	if math.Abs(Std(xs)-2) > 1e-12 {
-		t.Fatalf("std = %v, want 2", Std(xs))
-	}
-	if Mean(nil) != 0 || Std(nil) != 0 {
-		t.Fatal("empty stats should be 0")
-	}
-}
-
 func TestAoPBNonNegativeProperty(t *testing.T) {
 	f := func(vals []uint16, budget uint16) bool {
 		c := NewCollector(1, float64(budget))
@@ -112,33 +99,5 @@ func TestAoPBNonNegativeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEDPAndED2P(t *testing.T) {
-	r := &RunResult{EnergyJ: 2, Cycles: 3_000_000_000} // 1 second at 3GHz
-	if math.Abs(r.EDP()-2) > 1e-9 {
-		t.Fatalf("EDP = %v, want 2 J·s", r.EDP())
-	}
-	if math.Abs(r.ED2P()-2) > 1e-9 {
-		t.Fatalf("ED2P = %v, want 2 J·s²", r.ED2P())
-	}
-	// Halving runtime at equal energy halves EDP and quarters ED2P.
-	half := &RunResult{EnergyJ: 2, Cycles: 1_500_000_000}
-	if math.Abs(half.EDP()-1) > 1e-9 || math.Abs(half.ED2P()-0.5) > 1e-9 {
-		t.Fatalf("EDP/ED2P scaling wrong: %v %v", half.EDP(), half.ED2P())
-	}
-}
-
-func TestClassAvgPJ(t *testing.T) {
-	c := NewCollector(2, 0)
-	c.Record([]float64{100, 20}, []isa.SyncClass{isa.SyncBusy, isa.SyncBarrier})
-	c.Record([]float64{200, 40}, []isa.SyncClass{isa.SyncBusy, isa.SyncBarrier})
-	avg := c.ClassAvgPJ()
-	if avg[isa.SyncBusy] != 150 || avg[isa.SyncBarrier] != 30 {
-		t.Fatalf("class averages %v", avg)
-	}
-	if avg[isa.SyncLockAcq] != 0 {
-		t.Fatal("unvisited class should average 0")
 	}
 }

@@ -75,7 +75,9 @@ type Config struct {
 
 	// PTBClusterSize, when >0, replaces the single chip-wide balancer with
 	// per-cluster balancers of that many cores (the paper's §III.E.2
-	// scalability scheme for >32-core CMPs).
+	// scalability scheme for >32-core CMPs). It applies to TechPTB only;
+	// each cluster takes the latency of its own size, so PTBLatency and
+	// WireBits do not apply to it.
 	PTBClusterSize int
 
 	// IntraParallel is ignored: every run steps its cores serially.
@@ -158,7 +160,9 @@ type System struct {
 	gens   []*workload.Generator
 	st     *budget.ChipState
 	ctl    budget.Controller
-	bal    *core.Balancer // non-nil for TechPTB
+	bal    *core.Balancer   // the chip-wide balancer (ptb, ptbgate); nil otherwise
+	ptb    []*core.Balancer // every PTB balancer in the stack, in core order
+	govs   []*dvfs.Governor // the governor of the stack's DVFS level, if any
 	col    *metrics.Collector
 	therm  *thermal.Model
 	inv    *invariant.Checker // nil unless Config.Invariants
@@ -214,46 +218,44 @@ func NewSystem(cfg Config) (*System, error) {
 	globalBudget := cfg.BudgetFrac * s.peakPJ
 	s.st = budget.NewChipState(s.cores, s.meter, s.sync, globalBudget)
 
+	// The stack is built once; what the rest of the system reads of it —
+	// the PTB balancers and the DVFS level — is recorded as it is built.
+	// MaxBIPS applies its modes without a governor, so regulator glitches
+	// are not modeled for that related-work baseline.
+	var dv *budget.DVFSController
 	switch cfg.Technique {
 	case TechNone:
 		s.ctl = budget.None{}
 	case TechDVFS:
-		d := budget.NewDVFS(n)
-		if cfg.DVFSWindow > 0 {
-			d.SetWindow(cfg.DVFSWindow)
-		}
-		s.ctl = d
+		dv = budget.NewDVFS(n)
+		s.ctl = dv
 	case TechDFS:
-		d := budget.NewDFS(n)
-		if cfg.DVFSWindow > 0 {
-			d.SetWindow(cfg.DVFSWindow)
-		}
-		s.ctl = d
+		dv = budget.NewDFS(n)
+		s.ctl = dv
 	case TechMaxBIPS:
 		s.ctl = budget.NewMaxBIPS(n)
 	case Tech2Level:
 		tl := budget.NewTwoLevel(n, cfg.RelaxFrac)
-		if cfg.DVFSWindow > 0 {
-			tl.DVFS.SetWindow(cfg.DVFSWindow)
-		}
+		dv = tl.DVFS
 		s.ctl = tl
 	case TechPTB, TechPTBSpinGate:
 		inner := budget.NewTwoLevel(n, cfg.RelaxFrac)
-		if cfg.DVFSWindow > 0 {
-			inner.DVFS.SetWindow(cfg.DVFSWindow)
+		dv = inner.DVFS
+		if cfg.PTBClusterSize > 0 && cfg.Technique == TechPTB {
+			cb := core.NewClusteredBalancer(n, cfg.PTBClusterSize, cfg.Policy, inner)
+			s.ptb = cb.Groups()
+			s.ctl = cb
+			break
 		}
 		lat := core.LatencyFor(n)
 		if cfg.PTBLatency != nil {
 			lat = *cfg.PTBLatency
 		}
-		if cfg.PTBClusterSize > 0 && cfg.Technique == TechPTB {
-			s.ctl = core.NewClusteredBalancer(n, cfg.PTBClusterSize, cfg.Policy, inner)
-			break
-		}
 		s.bal = core.NewBalancerLatency(n, cfg.Policy, inner, lat)
 		if cfg.WireBits > 0 {
 			s.bal.SetWireBits(cfg.WireBits)
 		}
+		s.ptb = []*core.Balancer{s.bal}
 		if cfg.Technique == TechPTBSpinGate {
 			s.ctl = core.NewSpinGate(s.bal)
 		} else {
@@ -261,6 +263,12 @@ func NewSystem(cfg Config) (*System, error) {
 		}
 	default:
 		return nil, fmt.Errorf("sim: unknown technique %q", cfg.Technique)
+	}
+	if dv != nil {
+		if cfg.DVFSWindow > 0 {
+			dv.SetWindow(cfg.DVFSWindow)
+		}
+		s.govs = []*dvfs.Governor{dv.Governor()}
 	}
 
 	s.col = metrics.NewCollector(n, globalBudget)
@@ -274,25 +282,22 @@ func NewSystem(cfg Config) (*System, error) {
 		s.faults = fault.NewInjector(*cfg.Faults)
 		s.net.SetFaults(s.faults.Link())
 		s.sensor = power.NewNoisySensor(n, s.faults.Sensor())
-		switch ctl := s.ctl.(type) {
-		case *core.ClusteredBalancer:
-			ctl.SetFaults(s.faults.Token())
-		default:
-			if s.bal != nil {
-				s.bal.SetFaults(s.faults.Token())
-			}
+		// Clusters tick in a fixed order each cycle, so one shared token
+		// fault stream keeps the decision sequence deterministic.
+		for _, b := range s.ptb {
+			b.SetFaults(s.faults.Token())
 		}
-		for _, g := range s.governors() {
+		for _, g := range s.govs {
 			g.SetFaults(s.faults.DVFS())
 		}
 	}
 	if cfg.Observe != nil {
-		if govs := s.governors(); len(govs) == 1 {
-			s.obsGov = govs[0]
+		if len(s.govs) == 1 {
+			s.obsGov = s.govs[0]
 		}
 		s.obs = obs.NewRecorder(*cfg.Observe, n, s.fillSample)
 		pol := ""
-		if cfg.Technique == TechPTB || cfg.Technique == TechPTBSpinGate {
+		if len(s.ptb) > 0 {
 			pol = cfg.Policy.String()
 		}
 		s.obs.SetRun(spec.Name, n, string(cfg.Technique), pol, globalBudget)
@@ -304,21 +309,15 @@ func NewSystem(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// tokenLedger reads the PTB token-flow ledger (cumulative pJ) across
-// whichever balancer topology is active; all zeros for non-PTB techniques.
+// tokenLedger sums the PTB token-flow ledger (cumulative pJ) over the
+// stack's balancers; all zeros for non-PTB techniques.
 func (s *System) tokenLedger() (donated, granted, discarded, inflight float64) {
-	if s.bal != nil {
-		d, g, di, _ := s.bal.Stats()
-		return d, g, di, s.bal.PendingPJ()
-	}
-	if cb, ok := s.ctl.(*core.ClusteredBalancer); ok {
-		for _, grp := range cb.Groups() {
-			d, g, di, _ := grp.Stats()
-			donated += d
-			granted += g
-			discarded += di
-			inflight += grp.PendingPJ()
-		}
+	for _, b := range s.ptb {
+		d, g, di, _ := b.Stats()
+		donated += d
+		granted += g
+		discarded += di
+		inflight += b.PendingPJ()
 	}
 	return
 }
@@ -394,10 +393,8 @@ func (s *System) registerInvariants() {
 		// SustainedPeakFrac and is transiently overshot by design.
 		return budget.CheckState(s.st, s.peakPJ/power.SustainedPeakFrac)
 	})
-	if s.bal != nil {
-		s.inv.Register("ptb-token-conservation", s.bal.CheckConservation)
-	} else if cb, ok := s.ctl.(*core.ClusteredBalancer); ok {
-		s.inv.Register("ptb-token-conservation", cb.CheckConservation)
+	if len(s.ptb) > 0 {
+		s.inv.Register("ptb-token-conservation", func() error { return core.CheckConservation(s.ptb) })
 	}
 	s.inv.Register("dir-structure", s.hier.CheckDirectoryEntries)
 
@@ -443,38 +440,14 @@ func (s *System) registerInvariants() {
 	})
 }
 
-// governors collects the dvfs.Governor instances reachable through the
-// active controller stack. None has no governor, and MaxBIPS applies modes
-// directly without one, so regulator glitches are not modeled for that
-// related-work baseline.
-func (s *System) governors() []*dvfs.Governor {
-	var out []*dvfs.Governor
-	var walk func(c budget.Controller)
-	walk = func(c budget.Controller) {
-		switch ctl := c.(type) {
-		case *budget.DVFSController:
-			out = append(out, ctl.Governor())
-		case *budget.TwoLevel:
-			walk(ctl.DVFS)
-		case *core.Balancer:
-			walk(ctl.Inner())
-		case *core.SpinGate:
-			walk(ctl.Balancer())
-		case *core.ClusteredBalancer:
-			walk(ctl.Inner())
-		}
-	}
-	walk(s.ctl)
-	return out
-}
-
 // CoreCounts are the CMP sizes evaluated in the paper.
 func CoreCounts() []int { return []int{2, 4, 8, 16} }
 
 // GlobalBudgetPJ returns the per-cycle budget in picojoules.
 func (s *System) GlobalBudgetPJ() float64 { return s.cfg.BudgetFrac * s.peakPJ }
 
-// Balancer returns the PTB balancer, or nil for other techniques.
+// Balancer returns the chip-wide PTB balancer (ptb, ptbgate), or nil for
+// other techniques and for clustered PTB.
 func (s *System) Balancer() *core.Balancer { return s.bal }
 
 // Invariants returns the invariant checker, or nil when Config.Invariants
@@ -649,7 +622,7 @@ func (s *System) result() *metrics.RunResult {
 	}
 	label := string(s.cfg.Technique)
 	pol := ""
-	if s.cfg.Technique == TechPTB || s.cfg.Technique == TechPTBSpinGate {
+	if len(s.ptb) > 0 {
 		pol = s.cfg.Policy.String()
 	}
 	comp := make(map[string]float64)
@@ -659,33 +632,30 @@ func (s *System) result() *metrics.RunResult {
 			comp[kind.Component()] += s.meter.KindPJ(i, kind) * metrics.PJToJ
 		}
 	}
-	var donated, granted, discarded float64
-	var rounds int64
-	if s.bal != nil {
-		donated, granted, discarded, rounds = s.bal.Stats()
-	} else if cb, ok := s.ctl.(*core.ClusteredBalancer); ok {
-		for _, g := range cb.Groups() {
-			d, gr, di, r := g.Stats()
-			donated += d
-			granted += gr
-			discarded += di
-			rounds += r
-		}
-	}
+	// The token and fault ledgers: a balancer without a fault stream
+	// reports a zero fault ledger.
+	var donated, granted, discarded, lostPJ, dupPJ float64
+	var rounds, retries, reportsLost, staleCycles int64
 	var degraded bool
-	var lostPJ, dupPJ float64
-	var retries, reportsLost, staleCycles, stallCycles, retransmits, glitches, injected int64
+	for _, b := range s.ptb {
+		d, gr, di, r := b.Stats()
+		donated += d
+		granted += gr
+		discarded += di
+		rounds += r
+		l, dup, rt, rl, sc := b.FaultStats()
+		lostPJ += l
+		dupPJ += dup
+		retries += rt
+		reportsLost += rl
+		staleCycles += sc
+		degraded = degraded || b.Degraded()
+	}
+	var stallCycles, retransmits, glitches, injected int64
 	if s.faults != nil {
 		injected = s.faults.Fired()
 		stallCycles, retransmits = s.net.FaultStats()
-		if s.bal != nil {
-			lostPJ, dupPJ, retries, reportsLost, staleCycles = s.bal.FaultStats()
-			degraded = s.bal.Degraded()
-		} else if cb, ok := s.ctl.(*core.ClusteredBalancer); ok {
-			lostPJ, dupPJ, retries, reportsLost, staleCycles = cb.FaultStats()
-			degraded = cb.Degraded()
-		}
-		for _, g := range s.governors() {
+		for _, g := range s.govs {
 			glitches += g.Glitches()
 		}
 	}

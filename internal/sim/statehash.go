@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"ptbsim/internal/budget"
-	"ptbsim/internal/core"
-	"ptbsim/internal/statehash"
-)
+import "ptbsim/internal/statehash"
 
 // StateHash digests every mutable result-determining component of the
 // system: cores (ROB, fetch pipe, predictor, PTHT), workload generators
@@ -31,33 +27,11 @@ func (s *System) StateHash() [32]byte {
 	s.net.HashState(h)
 	s.meter.HashState(h)
 	s.st.HashState(h)
-	hashController(h, s.ctl)
+	s.ctl.HashState(h)
 	s.col.HashState(h)
 	s.therm.HashState(h)
 	s.sync.HashState(h)
 	s.faults.HashState(h)
 	s.sensor.HashState(h)
 	return h.Sum()
-}
-
-// hashController dispatches over the concrete controller types wired by
-// NewSystem. Shared by the chip-wide switch and the balancers' inner
-// controllers.
-func hashController(h *statehash.Hasher, ctl budget.Controller) {
-	switch c := ctl.(type) {
-	case budget.None:
-		c.HashState(h)
-	case *budget.DVFSController:
-		c.HashState(h)
-	case *budget.TwoLevel:
-		c.HashState(h)
-	case *budget.MaxBIPS:
-		c.HashState(h)
-	case *core.Balancer:
-		c.HashState(h)
-	case *core.ClusteredBalancer:
-		c.HashState(h)
-	case *core.SpinGate:
-		c.HashState(h)
-	}
 }

@@ -119,7 +119,8 @@ type Config struct {
 	// Policy applies to PTB runs.
 	Policy Policy `json:"policy,omitempty"`
 	// RelaxFrac relaxes the trigger threshold (§IV.C): 0.20 = trigger only
-	// 20% above the budget, trading accuracy for energy.
+	// 20% above the budget, trading accuracy for energy. It applies to
+	// TwoLevel, PTB and PTBSpinGate; the other techniques ignore it.
 	RelaxFrac float64 `json:"relax_frac,omitempty"`
 	// BudgetFrac is the global budget as a fraction of rated peak power
 	// (default 0.5, the paper's headline configuration).
@@ -129,11 +130,14 @@ type Config struct {
 	// MaxCycles is a safety cap (default 50M cycles).
 	MaxCycles int64 `json:"max_cycles,omitempty"`
 	// PessimisticPTBLatency uses the 10-cycle worst-case token transfer
-	// the paper also evaluates.
+	// the paper also evaluates. It applies to PTB and PTBSpinGate with one
+	// chip-wide balancer; clustered PTB ignores it.
 	PessimisticPTBLatency bool `json:"pessimistic_ptb_latency,omitempty"`
 	// PTBClusterSize, when >0, uses per-cluster balancers of that many
 	// cores instead of one chip-wide balancer (the paper's §III.E.2
-	// scalability scheme for large CMPs).
+	// scalability scheme for large CMPs), each with the token-transfer
+	// latency of its own size. It applies to PTB only: PTBSpinGate always
+	// runs one chip-wide balancer.
 	PTBClusterSize int `json:"ptb_cluster_size,omitempty"`
 	// CheckInvariants enables the runtime invariant layer: conservation-law
 	// and consistency checks (power-token conservation, energy-accounting
