@@ -143,8 +143,8 @@ type SubmitOptions struct {
 // SubmitOpts is Submit with per-submission options; see Submit for the
 // queueing, dedup and backpressure semantics.
 func (e *Experiment) SubmitOpts(ctx context.Context, cfg Config, opts SubmitOptions) (*Job, error) {
-	cfg = e.normalize(cfg)
-	if err := cfg.Validate(); err != nil {
+	cfg, err := e.normalize(cfg)
+	if err != nil {
 		return nil, err
 	}
 	return e.submit(ctx, cfg, opts, e.emit)
