@@ -32,7 +32,7 @@ check:
 # energy-accounting error must grow monotonically with the token-drop
 # rate at every core count (PTB graceful degradation; DESIGN.md §9).
 chaos:
-	$(GO) run ./cmd/ptbchaos -scale 0.25 -check -assert-monotone
+	$(GO) run ./cmd/ptbsweep -exp chaos -benches ocean -cores 2,4,8 -scale 0.25 -check
 
 # Regenerate the committed golden digests and the paper-table sweep
 # (testdata/golden/matrix_scale025.txt, results_sweep.txt). Review the
@@ -80,7 +80,7 @@ crash-e2e:
 
 # CPU- and heap-profile a representative full run. Every cmd tool takes
 # -cpuprofile/-memprofile/-trace (internal/prof), so the same recipe
-# works for ptbsweep, ptbreport, ptbchaos, ... See EXPERIMENTS.md
+# works for ptbsweep, ptbgolden, ... See EXPERIMENTS.md
 # "Profiling a run" for reading the output.
 profile:
 	$(GO) run ./cmd/ptbsim -bench ocean -cores 4 -tech ptb -scale 0.25 -nobase \

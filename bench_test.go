@@ -26,8 +26,9 @@ import (
 const benchScale = 0.06
 
 // benchTrace runs cfg on the 4-core no-control chip with a telemetry
-// observer sampling every `every` cycles, the way cmd/ptbtrace draws the
-// Fig. 5/6 traces, and reports the full-period sample count.
+// observer sampling every `every` cycles, the way `ptbsweep -exp fig5`
+// and `-exp fig6` draw the Fig. 5/6 traces, and reports the full-period
+// sample count.
 func benchTrace(b *testing.B, bench string, every int64) {
 	var n int
 	for i := 0; i < b.N; i++ {

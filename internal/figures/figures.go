@@ -1,6 +1,8 @@
 // Package figures builds the paper's evaluation artifacts — Tables 1–2,
 // Figs 2–4 and 8–14, the §IV-D cores-at-TDP arithmetic and the
 // spin-gating extension — as text tables on top of a ptbsim.Experiment.
+// On request it also builds the Fig. 5/6 power traces and the token-drop
+// chaos table, which a full build leaves out.
 //
 // Every simulation-backed builder requests its runs from the experiment
 // as one RunAll batch, so the runs execute on the experiment's worker
@@ -24,6 +26,7 @@ import (
 	"ptbsim/internal/mesh"
 	"ptbsim/internal/metrics"
 	"ptbsim/internal/power"
+	"ptbsim/internal/workload"
 )
 
 // Table is a rendered experiment artifact (one paper table or figure).
@@ -32,11 +35,19 @@ type Table struct {
 	Title  string
 	Header []string
 	Rows   [][]string
+
+	plot *plot // a power trace, which Render draws in place of the rows
 }
 
-// Render writes the table as aligned text.
+// Render writes the table as aligned text, or a power trace as an ASCII
+// chart.
 func (t *Table) Render(w io.Writer) {
 	fmt.Fprintf(w, "%s — %s\n", t.ID, t.Title)
+	if t.plot != nil {
+		t.plot.draw(w)
+		fmt.Fprintln(w)
+		return
+	}
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
 		widths[i] = len(h)
@@ -515,7 +526,8 @@ func FigExt(ctx context.Context, e *ptbsim.Experiment, benches []string, cores i
 // and the committed results_sweep.txt is generated under it.
 const MaxCycles int64 = 80_000_000
 
-// IDs names every artifact Build knows, in the order of a full build.
+// IDs names every artifact of a full build, in order. Build also knows
+// "fig5" and "fig6" (PowerTrace) and "chaos" (Chaos).
 var IDs = []string{"table1", "table2", "fig2", "fig3", "fig4", "fig8", "fig9",
 	"fig10", "fig11", "fig12", "fig13", "fig14", "sec4d", "ext"}
 
@@ -535,6 +547,11 @@ type Params struct {
 	Relax float64
 	// LockBound are the extension table's benchmarks.
 	LockBound []string
+	// Rates are the chaos table's token-drop rates.
+	Rates []float64
+	// Trace carries the WorkloadScale, CheckInvariants and Faults of the
+	// Fig. 5/6 runs, which simulate outside the experiment.
+	Trace ptbsim.Config
 }
 
 // Configs lists every run the artifacts in IDs need under p, for a warm
@@ -559,7 +576,9 @@ func (p Params) Configs() []ptbsim.Config {
 		[]techSpec{baseCase, ptb(ptbsim.Dynamic), spinGate})...)
 }
 
-// Build builds the artifact named id (one of IDs) under p.
+// Build builds the artifact named id (one of IDs, "fig5", "fig6" or
+// "chaos") under p. A chaos table whose energy-accuracy error is not
+// monotone comes back together with an error.
 func Build(ctx context.Context, e *ptbsim.Experiment, id string, p Params) (*Table, error) {
 	switch id {
 	case "table1":
@@ -590,18 +609,30 @@ func Build(ctx context.Context, e *ptbsim.Experiment, id string, p Params) (*Tab
 		return Sec4D(ctx, e, p.Benches, p.BigCores)
 	case "ext":
 		return FigExt(ctx, e, p.LockBound, p.BigCores)
+	case "fig5", "fig6":
+		return PowerTrace(ctx, id, p.Trace)
+	case "chaos":
+		return Chaos(ctx, e, p.Benches, p.CoreCounts, p.Rates)
 	}
 	return nil, fmt.Errorf("%w %q", ErrUnknownID, id)
 }
 
 // NewParams builds the Params of a command-line build from its flag
-// values. benches and cores are comma-separated lists, empty for the
-// defaults (every Table-2 benchmark; the paper's core counts). Naming the
-// benchmarks also makes them the extension table's set.
-func NewParams(benches, cores string, bigCores int, relax float64) (Params, error) {
+// values. benches, cores and rates are comma-separated lists; empty
+// benches or cores select the defaults (every Table-2 benchmark; the
+// paper's core counts). Naming the benchmarks also makes them the
+// extension table's set. An unknown benchmark, a core count outside
+// 1..ptbsim.MaxCores or a drop rate outside [0, 1] is an error.
+func NewParams(benches, cores, rates string, bigCores int, relax float64) (Params, error) {
 	p := Params{BigCores: bigCores, Relax: relax, LockBound: LockBound, CoreCounts: ptbsim.CoreCounts()}
 	if benches != "" {
-		p.Benches = strings.Split(benches, ",")
+		for _, b := range strings.Split(benches, ",") {
+			b = strings.TrimSpace(b)
+			if _, ok := workload.ByName(b); !ok {
+				return Params{}, fmt.Errorf("bad -benches: unknown benchmark %q (see `ptbsim -list`)", b)
+			}
+			p.Benches = append(p.Benches, b)
+		}
 		p.LockBound = p.Benches
 	} else {
 		for _, b := range ptbsim.Benchmarks() {
@@ -618,6 +649,21 @@ func NewParams(benches, cores string, bigCores int, relax float64) (Params, erro
 			p.CoreCounts = append(p.CoreCounts, n)
 		}
 	}
+	for _, n := range append([]int{bigCores}, p.CoreCounts...) {
+		if n < 1 || n > ptbsim.MaxCores {
+			return Params{}, fmt.Errorf("bad core count %d: want 1–%d", n, ptbsim.MaxCores)
+		}
+	}
+	for _, s := range strings.Split(rates, ",") {
+		r, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		if err != nil {
+			return Params{}, fmt.Errorf("bad -rates: %w", err)
+		}
+		if err := chaosSpec(r).Validate(); err != nil {
+			return Params{}, fmt.Errorf("bad -rates: %w", err)
+		}
+		p.Rates = append(p.Rates, r)
+	}
 	return p, nil
 }
 
@@ -630,6 +676,9 @@ func Progress(w io.Writer) func(ptbsim.Progress) {
 		}
 		c := p.Config
 		key := fmt.Sprintf("%s/%d/%s/%s/%.2f", c.Benchmark, c.Cores, c.Technique, c.Policy, c.RelaxFrac)
+		if c.Faults != nil {
+			key += " " + c.Faults.String()
+		}
 		fmt.Fprintf(w, "ran %-36s cycles=%d\n", key, p.Result.Cycles)
 	}
 }

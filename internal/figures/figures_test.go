@@ -2,6 +2,7 @@ package figures
 
 import (
 	"context"
+	"errors"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -253,5 +254,70 @@ func TestWarmMatchesSequential(t *testing.T) {
 func TestBuildRejectsUnknownID(t *testing.T) {
 	if _, err := Build(context.Background(), testExperiment(), "fig99", Params{}); err == nil {
 		t.Fatal("unknown id accepted")
+	}
+}
+
+func TestNewParams(t *testing.T) {
+	p, err := NewParams("fft, radix", " 2, 4", "0.5,0", 4, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(p.Benches, ",") != "fft,radix" || len(p.CoreCounts) != 2 || p.CoreCounts[1] != 4 || len(p.Rates) != 2 {
+		t.Fatalf("params %+v", p)
+	}
+	for _, tc := range []struct {
+		benches, cores, rates string
+		big                   int
+	}{
+		{"fft,nosuch", "", "0", 4},
+		{"fft,", "", "0", 4},
+		{"", "2,0", "0", 4},
+		{"", "2,257", "0", 4},
+		{"", "", "0", 0},
+		{"", "", "NaN", 4},
+		{"", "", "0,1.5", 4},
+		{"", "", "-0.1", 4},
+		{"", "", "", 4},
+	} {
+		if _, err := NewParams(tc.benches, tc.cores, tc.rates, tc.big, 0.2); err == nil {
+			t.Errorf("NewParams(%q, %q, %q, %d) accepted", tc.benches, tc.cores, tc.rates, tc.big)
+		}
+	}
+}
+
+// TestFigTraces checks the Fig. 5/6 traces the telemetry observer
+// produces: both non-empty under a positive budget, and the spinning
+// core's trace not flat (activity peaks over the spin floor).
+func TestFigTraces(t *testing.T) {
+	base := ptbsim.Config{WorkloadScale: 0.05}
+	fig5, err := PowerTrace(context.Background(), "fig5", base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fig5.Rows) == 0 || fig5.plot.budget <= 0 {
+		t.Fatalf("fig5: %d samples, budget %v", len(fig5.Rows), fig5.plot.budget)
+	}
+	fig6, err := PowerTrace(context.Background(), "fig6", base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := fig6.plot.trace
+	if len(ct) == 0 || fig6.plot.budget <= 0 {
+		t.Fatalf("fig6: %d samples, budget %v", len(ct), fig6.plot.budget)
+	}
+	minV, maxV := ct[0], ct[0]
+	for _, v := range ct {
+		minV, maxV = min(minV, v), max(maxV, v)
+	}
+	if maxV <= minV {
+		t.Fatal("fig6 trace is flat")
+	}
+	var sb strings.Builder
+	fig5.Render(&sb)
+	if !strings.HasPrefix(sb.String(), "Figure 5 — per-cycle CMP power") || !strings.Contains(sb.String(), "budget = ") {
+		t.Fatalf("fig5 does not render as a chart:\n%.300s", sb.String())
+	}
+	if _, err := PowerTrace(context.Background(), "fig7", base); !errors.Is(err, ErrUnknownID) {
+		t.Fatalf("fig7: %v, want ErrUnknownID", err)
 	}
 }

@@ -29,7 +29,7 @@ const DefaultEvery = 4096
 // cumulative; power fields are instantaneous values at the sampled cycle.
 //
 // The JSON field names are the stable wire schema shared by the JSONL
-// sink, ptbreport's telemetry table and external tooling.
+// sink, ptbsweep -render-telemetry and external tooling.
 type Sample struct {
 	// Run tags, stamped on every sample so merged sweep feeds stay
 	// self-describing.

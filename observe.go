@@ -22,7 +22,7 @@ import (
 // Observer plugs straight into the recorder with no per-sample conversion.
 //
 // The JSON field names on Sample are the stable wire schema shared by the
-// JSONL sink, ptbreport's telemetry table and external tooling.
+// JSONL sink, ptbsweep -render-telemetry and external tooling.
 type Sample = obs.Sample
 
 // Telemetry sampling defaults (see TelemetrySpec and Telemetry).
