@@ -49,12 +49,15 @@ import (
 
 func main() { cli.Main(run) }
 
+// expIDs are the -exp ids: a full build's, then those built only on request.
+var expIDs = append(slices.Clone(figures.IDs), "fig5", "fig6", "chaos")
+
 // run executes one ptbsweep invocation and returns its exit status.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	c := cli.New("ptbsweep", stdout, stderr)
 	fs := c.Flags
 	var (
-		exp     = fs.String("exp", "all", "comma-separated experiments: "+strings.Join(figures.IDs, ",")+",fig5,fig6,chaos, or all")
+		exp     = fs.String("exp", "all", "comma-separated experiments: "+strings.Join(expIDs, ",")+", or all")
 		scale   = fs.Float64("scale", 0.25, "workload scale (1.0 = Table 2 size)")
 		cores   = fs.String("cores", "", "comma-separated core counts (default 2,4,8,16)")
 		benches = fs.String("benches", "", "comma-separated benchmarks (default all 14)")
@@ -96,6 +99,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		ids = strings.Split(*exp, ",")
 		for i := range ids {
 			ids[i] = strings.TrimSpace(ids[i])
+			if !slices.Contains(expIDs, ids[i]) {
+				return c.Exit(cli.Usage(fmt.Errorf("unknown experiment %q", ids[i])))
+			}
 		}
 	}
 	if faults.Spec != nil && slices.Contains(ids, "chaos") {
@@ -161,9 +167,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	for _, id := range ids {
 		t, err := figures.Build(ctx, e, id, p)
-		if errors.Is(err, figures.ErrUnknownID) {
-			return c.Exit(cli.Usage(fmt.Errorf("unknown experiment %q", id)))
-		}
 		if t != nil {
 			switch *format {
 			case "text":

@@ -99,7 +99,8 @@ func TestSweepCellResume(t *testing.T) {
 	}
 }
 
-// wantUsageError runs each argument list and expects exit 2.
+// wantUsageError runs each argument list and expects exit 2 with nothing
+// on stdout: a usage error is found before any output.
 func wantUsageError(t *testing.T, cases [][]string) {
 	t.Helper()
 	for _, args := range cases {
@@ -107,12 +108,16 @@ func wantUsageError(t *testing.T, cases [][]string) {
 		if code := run(context.Background(), args, &stdout, &stderr); code != 2 {
 			t.Errorf("%q: exit %d, want 2 (stderr %q)", args, code, stderr.String())
 		}
+		if stdout.Len() > 0 {
+			t.Errorf("%q: wrote %d bytes to stdout before the usage error", args, stdout.Len())
+		}
 	}
 }
 
 func TestSweepUsageErrors(t *testing.T) {
 	wantUsageError(t, [][]string{
 		{"-exp", "fig99", "-q"},
+		{"-exp", "table1,fig99", "-q"},
 		{"-cores", "two"},
 		{"-exp", "table1", "-format", "json"},
 		// Sizes and names are checked before any run.

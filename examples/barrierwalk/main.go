@@ -39,10 +39,8 @@ type nullSync struct{}
 
 func (nullSync) Eval(int, isa.Inst) int64 { return 0 }
 
-// recorder captures the grants each cycle. The embedded None supplies
-// the (empty) state hash.
+// recorder captures the grants each cycle.
 type recorder struct {
-	budget.None
 	extra []float64
 }
 

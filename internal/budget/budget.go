@@ -14,7 +14,6 @@ import (
 	"ptbsim/internal/invariant"
 	"ptbsim/internal/microarch"
 	"ptbsim/internal/power"
-	"ptbsim/internal/statehash"
 	"ptbsim/internal/syncprim"
 )
 
@@ -104,23 +103,19 @@ func Estimate(c *cpu.Core, m *power.Meter) float64 {
 }
 
 // Controller is one budget-matching technique, ticked once per global
-// cycle after the state is refreshed. HashState folds its mutable state
-// into a state digest; a wrapping controller hashes the one it wraps.
+// cycle after the state is refreshed.
 type Controller interface {
 	Tick(st *ChipState)
-	HashState(h *statehash.Hasher)
 }
 
 // DVFSController is the paper's technique (a)/(b): a per-core window-based
 // governor over a voltage/frequency ladder.
 type DVFSController struct {
-	name   string // "dvfs" or "dfs"; HashState writes it first
 	gov    *dvfs.Governor
 	window int64
 	acc    []float64
 	chip   float64
 	count  int64
-	trans  int64
 
 	// Relax widens the budget the governor aims for (§IV.C): the
 	// power-saving modes engage only relax above the local budget.
@@ -130,7 +125,6 @@ type DVFSController struct {
 // NewDVFS builds the five-mode DVFS controller for n cores.
 func NewDVFS(n int) *DVFSController {
 	return &DVFSController{
-		name:   "dvfs",
 		gov:    dvfs.NewGovernor(n, dvfs.DVFSModes()),
 		window: dvfs.DefaultWindow,
 		acc:    make([]float64, n),
@@ -140,7 +134,6 @@ func NewDVFS(n int) *DVFSController {
 // NewDFS builds the frequency-only variant.
 func NewDFS(n int) *DVFSController {
 	c := NewDVFS(n)
-	c.name = "dfs"
 	c.gov = dvfs.NewGovernor(n, dvfs.DFSModes())
 	return c
 }
@@ -173,7 +166,6 @@ func (d *DVFSController) Tick(st *ChipState) {
 		avg := d.acc[i] / float64(d.count)
 		mode, changed := d.gov.Decide(i, avg, st.EffectiveLocal(i)*(1+d.Relax), chipOver)
 		if changed {
-			d.trans++
 			c.SetSpeed(mode.F, dvfs.DefaultTransitionTicks)
 			st.Meter.SetVoltage(i, mode.V)
 		}

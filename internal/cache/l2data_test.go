@@ -1,9 +1,9 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 
-	"ptbsim/internal/statehash"
 	"ptbsim/internal/xrand"
 )
 
@@ -116,15 +116,28 @@ func (d *denseL2) insert(line uint64) {
 	d.lruTick[victim] = d.tick
 }
 
-func (d *denseL2) hashState(h *statehash.Hasher) {
-	h.WriteU64(d.tick)
-	for i := range d.tags {
-		h.WriteU64(d.tags[i])
-		h.WriteBool(d.valid[i])
-		h.WriteU64(d.lruTick[i])
+// sameState names the first difference between d and the dense reference:
+// the bank's tick, or a way's tag, valid bit or LRU tick. An untouched set
+// of d reads as all-zero ways, as the dense array holds there.
+func (d *l2Data) sameState(ref *denseL2) error {
+	if d.tick != ref.tick {
+		return fmt.Errorf("tick %d, dense %d", d.tick, ref.tick)
 	}
-	h.WriteI64(d.hits)
-	h.WriteI64(d.misses)
+	var untouched l2Line
+	for s, k := range d.slot {
+		for w := 0; w < d.ways; w++ {
+			l := &untouched
+			if k != 0 {
+				l = &d.lines[int(k)-1+w]
+			}
+			i := s*d.ways + w
+			if l.tag != ref.tags[i] || l.valid() != ref.valid[i] || l.lru != ref.lruTick[i] {
+				return fmt.Errorf("set %d way %d: tag %#x valid %v lru %d, dense %#x %v %d",
+					s, w, l.tag, l.valid(), l.lru, ref.tags[i], ref.valid[i], ref.lruTick[i])
+			}
+		}
+	}
+	return nil
 }
 
 // TestL2DataMatchesDense drives the first-touch tag store and the dense
@@ -132,8 +145,8 @@ func (d *denseL2) hashState(h *statehash.Hasher) {
 // a non-power-of-two (3,072-set) bank. Most lines fall in a few hot sets,
 // six to eight candidates each, so ways conflict and evict; the rest are
 // scattered cold lines. Every probe must agree, and so must the hit and
-// miss counts and the hashState digest, checked along the way and at the
-// end.
+// miss counts and every way's tag, valid bit and LRU tick, checked along
+// the way and at the end.
 func TestL2DataMatchesDense(t *testing.T) {
 	for _, size := range []int{1 << 20, 768 << 10} {
 		got, want := newL2Data(size, 4), newDenseL2(size, 4)
@@ -163,11 +176,8 @@ func TestL2DataMatchesDense(t *testing.T) {
 					t.Fatalf("%d sets, op %d: hits/misses %d/%d, dense %d/%d",
 						sets, i, got.Hits(), got.Misses(), want.hits, want.misses)
 				}
-				hg, hw := statehash.NewHasher(), statehash.NewHasher()
-				got.hashState(hg)
-				want.hashState(hw)
-				if hg.Sum() != hw.Sum() {
-					t.Fatalf("%d sets, op %d: hashState differs from the dense encoding", sets, i)
+				if err := got.sameState(want); err != nil {
+					t.Fatalf("%d sets, op %d: %v", sets, i, err)
 				}
 			}
 		}

@@ -156,16 +156,11 @@ const (
 // Stats collects per-core counters.
 type Stats struct {
 	Committed       int64
-	Ticks           int64 // core-domain active ticks
 	StallTicks      int64 // DVFS transition stalls
 	SleepCycles     int64 // cycles frozen by the sleep gate
-	Branches        int64
 	Mispredicts     int64
 	WrongPathFetch  int64
 	SerializeStalls int64 // ticks fetch was stalled on a serializing inst
-	ROBOccupancySum int64
-	LoadCount       int64
-	StoreCount      int64
 	RMWCount        int64
 }
 
@@ -421,8 +416,6 @@ func (c *Core) Tick() bool {
 // step runs one core-domain pipeline cycle, back to front.
 func (c *Core) step() {
 	c.tick++
-	c.stats.Ticks++
-	c.stats.ROBOccupancySum += int64(c.count)
 
 	committed := c.commit()
 	c.completeExecution()

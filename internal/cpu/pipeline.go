@@ -85,7 +85,6 @@ func (c *Core) finish(e *robEntry) {
 	c.meter.Add(c.id, power.EvRegWrite, 1)
 
 	if e.inst.Op == isa.OpBranch {
-		c.stats.Branches++
 		if e.predicted != e.inst.Taken {
 			// Misprediction resolved: stop phantom fetch; the front end
 			// redirects and refills naturally through the fetch pipe.
@@ -147,7 +146,6 @@ func (c *Core) tryIssue(e *robEntry) bool {
 	case isa.OpLoad:
 		c.issueCommon(fuIntAlu) // AGU energy, no FU slot held
 		e.state = stExecuting
-		c.stats.LoadCount++
 		c.mem.Read(c.id, inst.Addr, c.memCallback(e.seq, false))
 		return true
 	case isa.OpStore:
@@ -157,7 +155,6 @@ func (c *Core) tryIssue(e *robEntry) bool {
 		e.doneTick = c.tick + 1
 		e.fuClass = -1
 		c.inflight = append(c.inflight, e.seq)
-		c.stats.StoreCount++
 		return true
 	case isa.OpAtomicRMW:
 		// Atomics execute at the ROB head only (they are not speculated

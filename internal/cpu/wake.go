@@ -167,12 +167,10 @@ func (c *Core) TickInert() {
 		c.tokenRate += (float64(c.fetchedTokens) - c.tokenRate) / 8
 		return
 	}
-	// step() on a frozen pipeline: the tick advances, occupancy accrues, the
-	// serialize-stall counter ticks if fetch is parked on a serializing
-	// instruction, the clock tree is gated, and ROB residency is charged.
+	// step() on a frozen pipeline: the tick advances, the serialize-stall
+	// counter ticks if fetch is parked on a serializing instruction, the
+	// clock tree is gated, and ROB residency is charged.
 	c.tick++
-	c.stats.Ticks++
-	c.stats.ROBOccupancySum += int64(c.count)
 	if !(c.srcDone && !c.hasPending) && !c.knobs.FetchGate && c.fetchStalled {
 		c.stats.SerializeStalls++
 	}

@@ -18,7 +18,6 @@ const PJToJ = 1e-12
 
 // Collector accumulates per-cycle measurements during a run.
 type Collector struct {
-	nCores   int
 	budgetPJ float64 // global per-cycle budget; <=0 disables AoPB tracking
 
 	cycles       int64
@@ -33,18 +32,12 @@ type Collector struct {
 	// chip-wide; classEnergy[class] the corresponding energy.
 	classCycles [isa.NumSyncClasses]int64
 	classEnergy [isa.NumSyncClasses]float64
-
-	perCoreLast []float64
 }
 
 // NewCollector creates a collector. budgetPJ is the global per-cycle energy
 // budget in picojoules (pass 0 when no budget applies).
-func NewCollector(nCores int, budgetPJ float64) *Collector {
-	return &Collector{
-		nCores:      nCores,
-		budgetPJ:    budgetPJ,
-		perCoreLast: make([]float64, nCores),
-	}
+func NewCollector(budgetPJ float64) *Collector {
+	return &Collector{budgetPJ: budgetPJ}
 }
 
 // Record accumulates one cycle: per-core tile energies (pJ) and per-core
@@ -58,7 +51,6 @@ func (c *Collector) Record(perCorePJ []float64, classes []isa.SyncClass) {
 		c.classCycles[cl]++
 		c.classEnergy[cl] += e
 	}
-	copy(c.perCoreLast, perCorePJ)
 	c.chipEnergyPJ += chip
 	c.sumChip += chip
 	c.sumChipSq += chip * chip

@@ -9,7 +9,7 @@ import (
 )
 
 func TestAoPBIntegration(t *testing.T) {
-	c := NewCollector(2, 100)
+	c := NewCollector(100)
 	busy := []isa.SyncClass{isa.SyncBusy, isa.SyncBusy}
 	// Cycle 1: 120 pJ total → 20 over. Cycle 2: 80 → 0 over.
 	c.Record([]float64{70, 50}, busy)
@@ -28,7 +28,7 @@ func TestAoPBIntegration(t *testing.T) {
 }
 
 func TestAoPBDisabled(t *testing.T) {
-	c := NewCollector(1, 0)
+	c := NewCollector(0)
 	c.Record([]float64{1000}, []isa.SyncClass{isa.SyncBusy})
 	if c.AoPBJ() != 0 {
 		t.Fatal("AoPB tracked without a budget")
@@ -36,7 +36,7 @@ func TestAoPBDisabled(t *testing.T) {
 }
 
 func TestClassBreakdown(t *testing.T) {
-	c := NewCollector(2, 0)
+	c := NewCollector(0)
 	c.Record([]float64{10, 10}, []isa.SyncClass{isa.SyncBusy, isa.SyncBarrier})
 	c.Record([]float64{10, 10}, []isa.SyncClass{isa.SyncLockAcq, isa.SyncBarrier})
 	f := c.ClassCycleFrac()
@@ -46,7 +46,7 @@ func TestClassBreakdown(t *testing.T) {
 }
 
 func TestSpinEnergyFrac(t *testing.T) {
-	c := NewCollector(2, 0)
+	c := NewCollector(0)
 	c.Record([]float64{30, 10}, []isa.SyncClass{isa.SyncBusy, isa.SyncBarrier})
 	if got := c.SpinEnergyFrac(); math.Abs(got-0.25) > 1e-12 {
 		t.Fatalf("spin energy fraction = %v, want 0.25", got)
@@ -54,7 +54,7 @@ func TestSpinEnergyFrac(t *testing.T) {
 }
 
 func TestPowerStats(t *testing.T) {
-	c := NewCollector(1, 0)
+	c := NewCollector(0)
 	for i := 0; i < 100; i++ {
 		c.Record([]float64{300}, []isa.SyncClass{isa.SyncBusy})
 	}
@@ -91,7 +91,7 @@ func TestNormalizationZeroBase(t *testing.T) {
 
 func TestAoPBNonNegativeProperty(t *testing.T) {
 	f := func(vals []uint16, budget uint16) bool {
-		c := NewCollector(1, float64(budget))
+		c := NewCollector(float64(budget))
 		for _, v := range vals {
 			c.Record([]float64{float64(v)}, []isa.SyncClass{isa.SyncBusy})
 		}

@@ -271,7 +271,7 @@ func NewSystem(cfg Config) (*System, error) {
 		s.govs = []*dvfs.Governor{dv.Governor()}
 	}
 
-	s.col = metrics.NewCollector(n, globalBudget)
+	s.col = metrics.NewCollector(globalBudget)
 	s.therm = thermal.New(n, metrics.CycleSeconds)
 	s.perCore = make([]float64, n)
 	s.classes = make([]isa.SyncClass, n)

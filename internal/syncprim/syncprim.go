@@ -42,7 +42,6 @@ type barrier struct {
 // activity classification used by the Fig. 3 breakdown and the §IV.B
 // dynamic policy selector.
 type Table struct {
-	nCores   int
 	locks    []lock
 	barriers []barrier
 	state    []isa.SyncClass
@@ -52,7 +51,6 @@ type Table struct {
 // and barriers. Barriers expect all nCores cores to arrive.
 func NewTable(nCores, nLocks, nBarriers int) *Table {
 	t := &Table{
-		nCores:   nCores,
 		locks:    make([]lock, nLocks),
 		barriers: make([]barrier, nBarriers),
 		state:    make([]isa.SyncClass, nCores),

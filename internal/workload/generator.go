@@ -87,10 +87,8 @@ type Generator struct {
 	// are predictable because they are *structured*, not because they are
 	// biased coins; a pattern is what lets the gshare predictor reach
 	// realistic accuracy. Branches only sit in the busy code, so the table
-	// is indexed by busy-code slot, (pc-codeBase)/4; branches counts the
-	// slots that have a pattern.
+	// is indexed by busy-code slot, (pc-codeBase)/4.
 	branchState []branchPattern
-	branches    int
 
 	// stats
 	emitted      int64
@@ -509,7 +507,6 @@ func (g *Generator) branchOutcome(slot int) bool {
 			period = 14
 		}
 		st.period = uint8(period)
-		g.branches++
 	}
 	if st.hard {
 		return g.rng.Bool(0.5)

@@ -108,7 +108,3 @@ func (r *Rand) Perm(dst []int) {
 func (r *Rand) Split() *Rand {
 	return New(r.Uint64() ^ 0xD1B54A32D192ED03)
 }
-
-// State exposes the generator's internal state word for state
-// digests. It must never feed back into workload synthesis.
-func (r *Rand) State() uint64 { return r.state }
