@@ -26,7 +26,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"syscall"
 	"time"
@@ -76,23 +75,21 @@ func main() {
 	exp := ptbsim.NewExperiment(opts...)
 	srv := serve.New(exp, st, hub)
 
-	// Crash recovery: with a persistent store, accepted jobs ride a
-	// write-ahead journal. Replay whatever the last process left pending —
-	// completed jobs resolve as cache hits, interrupted ones recompute from
-	// cycle 0 — so a SIGKILL loses zero accepted jobs.
+	// Crash recovery: with a persistent store, each accepted job is a
+	// .pending file beside the results until its result lands. Replay
+	// whatever the last process left pending — completed jobs resolve as
+	// cache hits, interrupted ones recompute from cycle 0 — so a SIGKILL
+	// loses zero accepted jobs.
 	var jr *store.Journal
 	if *storeDir != "" {
 		var pending []store.JournalRecord
 		var err error
-		jr, pending, err = store.OpenJournal(filepath.Join(*storeDir, "jobs.wal"))
+		jr, pending, err = store.OpenJournal(*storeDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ptbserve:", err)
 			os.Exit(2)
 		}
 		defer jr.Close()
-		if torn := jr.Torn(); torn > 0 {
-			fmt.Fprintf(os.Stderr, "ptbserve: journal: dropped %d torn record(s) from the last crash\n", torn)
-		}
 		srv.AttachJournal(jr)
 		if len(pending) > 0 {
 			n, err := srv.ReplayJournal(context.Background(), pending)

@@ -264,7 +264,7 @@ func (h *HomeBank) handlePut(line uint64, e *dirEntry, m msgPut) {
 		if e.state != dirOwned || e.owner != m.req {
 			// Ownership moved while the Put was in flight; the evictor
 			// already served the forward from its writeback buffer.
-			h.send(cacheNode(m.req), ctrlFlits, msgPutAck{line: line, dest: m.req, stale: true})
+			h.send(cacheNode(m.req), ctrlFlits, msgPutAck{line: line, dest: m.req})
 			return
 		}
 		if m.kind == putM {

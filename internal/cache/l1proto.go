@@ -226,8 +226,8 @@ func (c *L1) onFwdGetS(m msgFwdGetS) {
 		return
 	}
 	if _, ok := c.wb[m.line]; ok {
-		// Serve from the writeback buffer; the in-flight Put will be
-		// answered with a stale ack.
+		// Serve from the writeback buffer; the directory acks the
+		// in-flight Put without taking its data.
 		c.send(cacheNode(m.req), dataFlits, msgOwnerData{line: m.line, dest: m.req})
 		return
 	}

@@ -114,13 +114,11 @@ type msgInv struct {
 	req    CacheID
 }
 
-// msgPutAck completes a blocking eviction. stale means the directory no
-// longer considered the evictor the owner (its ownership was transferred by
-// an earlier-serialized transaction); the evictor just drops its buffer.
+// msgPutAck completes a blocking eviction. The evictor drops its buffer
+// whether or not the directory still considered it the owner.
 type msgPutAck struct {
-	line  uint64
-	dest  CacheID
-	stale bool
+	line uint64
+	dest CacheID
 }
 
 // Cache-to-cache messages.

@@ -39,7 +39,7 @@ type Server struct {
 	exp *ptbsim.Experiment
 	st  *store.Store   // optional persistent cache, for /v1/results
 	hub *Hub           // optional telemetry hub, for /v1/telemetry
-	jr  *store.Journal // optional write-ahead journal of accepted jobs
+	jr  *store.Journal // optional journal of accepted jobs (pending files)
 	mux *http.ServeMux
 
 	jrLogged atomic.Bool // the first journal write failure was logged
@@ -72,21 +72,23 @@ func New(exp *ptbsim.Experiment, st *store.Store, hub *Hub) *Server {
 // Handler returns the routed HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// AttachJournal installs a write-ahead journal of accepted jobs: every
-// successfully submitted configuration is journaled (fsync'd) before the
-// HTTP acknowledgment, and marked done once its result is in the cache.
-// A SIGKILL'd server therefore reboots knowing exactly which accepted
-// jobs never completed — feed them back through ReplayJournal. Once a
-// journal write fails the journal latches the error: jobs are still
-// answered correctly, but later acknowledgments are not durable, and
-// /v1/stats reports the error as journal_error, and the first failure is
-// logged once on the standard logger. Call before serving requests; nil
-// detaches.
+// AttachJournal installs a journal of accepted jobs: every successfully
+// submitted configuration is written as a pending file (fsync'd, then
+// renamed into place and the directory fsync'd) before the HTTP
+// acknowledgment, and the file is removed once its result is in the
+// cache. A SIGKILL'd server therefore reboots knowing exactly which
+// accepted jobs never completed — feed them back through ReplayJournal.
+// Once a pending-file write fails the journal latches the error: jobs
+// are still answered correctly, but later acknowledgments are not
+// durable, and /v1/stats reports the error as journal_error, and the
+// first failure is logged once on the standard logger. Call before
+// serving requests; nil detaches.
 func (s *Server) AttachJournal(jr *store.Journal) { s.jr = jr }
 
-// journalAccept records an accepted job in the journal — before any
+// journalAccept writes an accepted job's pending file — before any
 // response bytes, so an acknowledgment can never outrun durability — and
-// arms the completion watcher. Nil-journal servers skip both.
+// arms the completion watcher that clears it. Nil-journal servers skip
+// both.
 func (s *Server) journalAccept(job *ptbsim.Job, priority int) {
 	if s.jr == nil {
 		return
@@ -103,8 +105,8 @@ func (s *Server) journalAccept(job *ptbsim.Job, priority int) {
 		// mid-run must not leave a completed job marked pending forever.
 		_, runErr := job.Await(context.Background())
 		if runErr != nil && errors.Is(runErr, ptbsim.ErrDraining) {
-			// Shutdown interrupted the job before it ran; leave it
-			// journaled so the next boot replays it.
+			// Shutdown interrupted the job before it ran; leave its
+			// pending file so the next boot replays it.
 			return
 		}
 		s.jr.Done(job.Key())
@@ -114,9 +116,11 @@ func (s *Server) journalAccept(job *ptbsim.Job, priority int) {
 // ReplayJournal resubmits the pending records a recovering journal
 // returned from OpenJournal: each record's config is decoded and
 // submitted at its original priority, detached from any request (results
-// land in the cache; completions clear the journal). It reports how many
-// records were resubmitted; undecodable records are counted out and
-// marked done rather than wedging recovery on every future boot.
+// land in the cache; completions clear their pending files). Records come
+// in file-name order, not acceptance order: priority orders the queue,
+// and results do not depend on order. It reports how many records were
+// resubmitted; undecodable records are counted out and marked done rather
+// than wedging recovery on every future boot.
 func (s *Server) ReplayJournal(ctx context.Context, pending []store.JournalRecord) (int, error) {
 	replayed := 0
 	for _, rec := range pending {
@@ -223,7 +227,6 @@ type statsJSON struct {
 	StoreError    string `json:"store_error,omitempty"`
 
 	JournalPending int    `json:"journal_pending,omitempty"`
-	JournalTorn    int    `json:"journal_torn,omitempty"`
 	JournalError   string `json:"journal_error,omitempty"`
 
 	Subscribers   int   `json:"telemetry_subscribers"`
@@ -254,7 +257,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.jr != nil {
 		st.JournalPending = s.jr.Pending()
-		st.JournalTorn = s.jr.Torn()
 		if err := s.jr.Err(); err != nil {
 			st.JournalError = err.Error()
 		}

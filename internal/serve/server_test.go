@@ -352,7 +352,7 @@ func waitJournalDrained(t *testing.T, jr *store.Journal) {
 
 func TestJournalAcceptedThenDone(t *testing.T) {
 	dir := t.TempDir()
-	jr, pending, err := store.OpenJournal(filepath.Join(dir, "jobs.wal"))
+	jr, pending, err := store.OpenJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,6 @@ func TestJournalAcceptedThenDone(t *testing.T) {
 
 func TestJournalReplayRecoversInterruptedJob(t *testing.T) {
 	dir := t.TempDir()
-	wal := filepath.Join(dir, "jobs.wal")
 	cfg := ptbsim.Config{Benchmark: "radix", Cores: 2, Technique: ptbsim.None}
 	cfgJSON, err := json.Marshal(cfg)
 	if err != nil {
@@ -384,7 +383,7 @@ func TestJournalReplayRecoversInterruptedJob(t *testing.T) {
 
 	// The "crashed" process: a job was accepted and journaled, but the
 	// process died before completing it.
-	jr0, _, err := store.OpenJournal(wal)
+	jr0, _, err := store.OpenJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +394,7 @@ func TestJournalReplayRecoversInterruptedJob(t *testing.T) {
 
 	// The reboot: replay must resubmit the job, complete it, and clear
 	// the journal — zero accepted jobs lost.
-	jr, pending, err := store.OpenJournal(wal)
+	jr, pending, err := store.OpenJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,6 +412,20 @@ func TestJournalReplayRecoversInterruptedJob(t *testing.T) {
 		t.Fatalf("replayed %d jobs, want 1", n)
 	}
 	waitJournalDrained(t, jr)
+
+	// The job replays exactly once: its pending file is gone, so a third
+	// boot has nothing left to replay.
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.pending")); len(left) != 0 {
+		t.Fatalf("pending files left after the replay drained: %v", left)
+	}
+	jr2, pending, err := store.OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr2.Close()
+	if len(pending) != 0 {
+		t.Fatalf("second boot replays %+v, want nothing", pending)
+	}
 
 	// The recomputed result is in the cache: the same config over HTTP
 	// answers cached.
@@ -439,7 +452,7 @@ func TestJournalWriteFailureDegrades(t *testing.T) {
 	defer log.SetOutput(prevOut)
 
 	dir := t.TempDir()
-	jr, _, err := store.OpenJournal(filepath.Join(dir, "jobs.wal"))
+	jr, _, err := store.OpenJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

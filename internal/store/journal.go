@@ -1,40 +1,35 @@
 package store
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 )
 
-// Journal is a write-ahead log of accepted jobs: the piece that makes
-// "accepted" mean "durable". The server appends one fsync'd record per
-// accepted submission before acknowledging it, and a completion record
-// when the result lands in the store; a SIGKILL'd process therefore
-// reboots, replays the journal, and finds exactly the set of jobs that
-// were accepted but not yet completed — zero accepted jobs are ever
-// lost. The log is JSONL (one record per line) and torn-tail tolerant:
-// a crash mid-append leaves at most one partial last line, which is
-// dropped and counted rather than tripping recovery. Open compacts the
-// log to just the pending records, so it never grows without bound.
+// Journal records accepted jobs: the piece that makes "accepted" mean
+// "durable". Each accepted job is one <sha256(ID)>.pending file holding
+// its JournalRecord, landed by writeAtomic (fsync'd temp file, rename,
+// fsync'd directory) before the server acknowledges it, and removed when
+// the result is in the store. A SIGKILL'd process therefore reboots,
+// lists the pending files, and finds exactly the jobs that were accepted
+// but not yet completed — zero accepted jobs are ever lost. A rename
+// cannot tear, so every pending file on disk is whole.
 type Journal struct {
-	path string
+	dir string
 
 	mu      sync.Mutex
-	f       *os.File
-	pending map[string]JournalRecord
-	order   []string // pending IDs in acceptance order
-	torn    int
-	err     error // first append failure, latched
+	pending map[string]bool // IDs with a pending file on disk
+	err     error           // first accept failure (or Close), latched
 }
 
 // JournalRecord is one accepted job: an opaque request payload under a
 // caller-chosen ID (the serve layer uses its cache keys, so replaying a
 // record that did complete is a harmless cache hit).
 type JournalRecord struct {
-	// ID identifies the job across accept and done records.
+	// ID identifies the job; its hash names the pending file.
 	ID string `json:"id"`
 	// Config is the accepted request payload, replayed verbatim on boot.
 	Config json.RawMessage `json:"config"`
@@ -42,144 +37,80 @@ type JournalRecord struct {
 	Priority int `json:"priority,omitempty"`
 }
 
-// journalLine is the on-disk form: an op tag around a record.
-type journalLine struct {
-	Op string `json:"op"` // "accept" | "done"
-	JournalRecord
-}
-
-// OpenJournal opens (creating if needed) the journal at path, replays
-// it, compacts it down to the still-pending records, and returns those
-// records in acceptance order — the jobs a recovering server must
-// resubmit.
-func OpenJournal(path string) (*Journal, []JournalRecord, error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+// OpenJournal opens (creating if needed) the journal in dir and returns
+// its pending records in file-name order — the jobs a recovering server
+// must resubmit. That is not acceptance order; each record keeps its
+// priority. A pending file that does not decode, or whose name is not
+// its ID's hash, was damaged outside the journal and fails the open,
+// naming the file.
+func OpenJournal(dir string) (*Journal, []JournalRecord, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("store: journal: %w", err)
 	}
-	j := &Journal{path: path, pending: make(map[string]JournalRecord)}
-
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("store: journal: %w", err)
-	}
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			// A crash mid-append: at most one torn line at the tail. Every
-			// complete record before it stands.
-			j.torn++
-			break
-		}
-		line := data[:nl]
-		data = data[nl+1:]
-		var rec journalLine
-		if err := json.Unmarshal(line, &rec); err != nil || rec.ID == "" {
-			j.torn++
-			continue
-		}
-		switch rec.Op {
-		case "accept":
-			if _, ok := j.pending[rec.ID]; !ok {
-				j.order = append(j.order, rec.ID)
-			}
-			j.pending[rec.ID] = rec.JournalRecord
-		case "done":
-			if _, ok := j.pending[rec.ID]; ok {
-				delete(j.pending, rec.ID)
-				j.order = removeID(j.order, rec.ID)
-			}
-		default:
-			j.torn++
-		}
-	}
-
-	// Compact: rewrite just the pending accepts, atomically, then append
-	// from there.
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, id := range j.order {
-		if err := enc.Encode(journalLine{Op: "accept", JournalRecord: j.pending[id]}); err != nil {
-			return nil, nil, fmt.Errorf("store: journal: %w", err)
-		}
-	}
-	if err := writeAtomic(filepath.Dir(path), filepath.Base(path), buf.Bytes()); err != nil {
-		return nil, nil, fmt.Errorf("store: journal: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	names, err := filepath.Glob(filepath.Join(dir, "*.pending"))
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: journal: %w", err)
 	}
-	j.f = f
-
-	out := make([]JournalRecord, 0, len(j.order))
-	for _, id := range j.order {
-		out = append(out, j.pending[id])
+	j := &Journal{dir: dir, pending: make(map[string]bool, len(names))}
+	out := make([]JournalRecord, 0, len(names))
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			return nil, nil, fmt.Errorf("store: journal: %w", err)
+		}
+		var rec JournalRecord
+		if err := json.Unmarshal(data, &rec); err != nil || filepath.Base(name) != pendingName(rec.ID) {
+			return nil, nil, fmt.Errorf("store: journal: %s is not a pending record for its name", name)
+		}
+		j.pending[rec.ID] = true
+		out = append(out, rec)
 	}
 	return j, out, nil
 }
 
-func removeID(ids []string, id string) []string {
-	for i, v := range ids {
-		if v == id {
-			return append(ids[:i], ids[i+1:]...)
-		}
-	}
-	return ids
+// pendingName is the file name of a pending job's record: the content
+// address of its ID, as a result's file name is that of its key.
+func pendingName(id string) string {
+	return strings.TrimSuffix(fileName(id), ".json") + ".pending"
 }
 
-// Accept journals an accepted job durably: the record is appended and
-// fsync'd before Accept returns, so an acknowledgment sent after it can
-// never refer to a job a crash would forget. An ID already pending is a
-// no-op (a coalesced resubmission).
+// Accept records an accepted job durably: its pending file and the
+// directory entry naming it are fsync'd before Accept returns, so an
+// acknowledgment sent after it can never refer to a job a crash would
+// forget. An ID already pending is a no-op (a coalesced resubmission).
+// The first failure latches, and every later Accept returns it.
 func (j *Journal) Accept(rec JournalRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
 		return j.err
 	}
-	if _, ok := j.pending[rec.ID]; ok {
+	if j.pending[rec.ID] {
 		return nil
 	}
-	if err := j.append(journalLine{Op: "accept", JournalRecord: rec}, true); err != nil {
-		return err
+	data, err := json.Marshal(rec)
+	if err == nil {
+		err = writeAtomic(j.dir, pendingName(rec.ID), data)
 	}
-	j.pending[rec.ID] = rec
-	j.order = append(j.order, rec.ID)
+	if err != nil {
+		j.err = fmt.Errorf("store: journal degraded: %w", err)
+		return j.err
+	}
+	j.pending[rec.ID] = true
 	return nil
 }
 
-// Done journals a job's completion. Best-effort by design: losing a
-// done record only means the job is replayed on the next boot, where it
-// resolves as a cache hit — degraded, never wrong — so Done appends
-// without fsync and swallows failures into the latched Err.
+// Done clears a completed job's pending file. Best-effort by design: a
+// removal that is lost only means the job is replayed on the next boot,
+// where it resolves as a cache hit — degraded, never wrong.
 func (j *Journal) Done(id string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, ok := j.pending[id]; !ok {
+	if !j.pending[id] {
 		return
 	}
 	delete(j.pending, id)
-	j.order = removeID(j.order, id)
-	_ = j.append(journalLine{Op: "done", JournalRecord: JournalRecord{ID: id}}, false)
-}
-
-// append writes one record line, optionally fsync'd; the first failure
-// latches. Callers hold mu.
-func (j *Journal) append(line journalLine, sync bool) error {
-	data, err := json.Marshal(line)
-	if err == nil {
-		_, err = j.f.Write(append(data, '\n'))
-	}
-	if err == nil && sync {
-		err = j.f.Sync()
-	}
-	if err != nil {
-		if j.err == nil {
-			j.err = fmt.Errorf("store: journal degraded: %w", err)
-		}
-		return j.err
-	}
-	return nil
+	_ = os.Remove(filepath.Join(j.dir, pendingName(id)))
 }
 
 // Pending reports the number of accepted-but-not-completed jobs.
@@ -189,29 +120,20 @@ func (j *Journal) Pending() int {
 	return len(j.pending)
 }
 
-// Torn reports how many unparseable lines were dropped at open (at most
-// one from a torn tail, plus any hand-edited damage).
-func (j *Journal) Torn() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.torn
-}
-
-// Err reports the first append failure, if any.
+// Err reports the first accept failure, if any.
 func (j *Journal) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.err
 }
 
-// Close releases the journal's file handle.
+// Close ends accepting: every later Accept fails. Done still clears the
+// jobs that were accepted before it.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
+	if j.err == nil {
+		j.err = fmt.Errorf("store: journal degraded: %w", os.ErrClosed)
 	}
-	err := j.f.Close()
-	j.f = nil
-	return err
+	return nil
 }

@@ -216,3 +216,34 @@ func TestStoreBacksExperiment(t *testing.T) {
 		t.Fatalf("digest drifted across restart:\n old %s\n new %s", first.Digest(), second.Digest())
 	}
 }
+
+// TestOpenRemovesLeftoverTemps pins that Open clears the temp files a
+// crash leaves mid-write — a result's and a pending record's — without
+// counting them as entries or rejections.
+func TestOpenRemovesLeftoverTemps(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put("key-a", runOne(t, "fft"))
+	temps := []string{fileName("key-b") + ".tmp123", pendingName("job-c") + ".tmp456"}
+	for _, name := range temps {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(`{"key":`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.Len() != 1 || len(s2.Rejected()) != 0 {
+		t.Fatalf("Len=%d Rejected=%v, want 1 and none", s2.Len(), s2.Rejected())
+	}
+	for _, name := range temps {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("leftover temp file %s survived Open (stat err %v)", name, err)
+		}
+	}
+}

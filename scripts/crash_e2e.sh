@@ -1,12 +1,13 @@
 #!/bin/sh
 # crash_e2e.sh — crash-recovery gate for the serving layer: boot ptbserve
-# with a persistent store and write-ahead job journal, hammer it with
-# sweep requests, SIGKILL the server mid-sweep, reboot it on the same
-# store, and demand that (a) the journal replays every
-# accepted-but-incomplete job to completion (zero accepted jobs lost;
-# interrupted runs recompute from cycle 0) and (b) the digests served
-# after recovery are byte-identical to a never-crashed reference
-# server's. Used by `make crash-e2e` and CI's crash-e2e job.
+# with a persistent store (results plus one .pending file per accepted
+# job), hammer it with sweep requests, SIGKILL the server mid-sweep,
+# reboot it on the same store, and demand that (a) the journal replays
+# every accepted-but-incomplete job to completion (zero accepted jobs
+# lost; interrupted runs recompute from cycle 0) and leaves no pending
+# file behind, and (b) the digests served after recovery are
+# byte-identical to a never-crashed reference server's. Used by
+# `make crash-e2e` and CI's crash-e2e job.
 set -eu
 
 ADDR="${PTBSERVE_ADDR:-127.0.0.1:18178}"
@@ -111,6 +112,14 @@ while [ "$i" -lt 600 ]; do
 done
 if stats | grep -q '"journal_pending"'; then
     echo "journal never drained:"; stats; exit 1
+fi
+# A drained journal is an empty one on disk: every pending file cleared,
+# and no file in any older journal format written.
+if ls "$workdir/store"/*.pending >/dev/null 2>&1; then
+    echo "pending files left after the journal drained:"; ls "$workdir/store"; exit 1
+fi
+if [ -e "$workdir/store/jobs.wal" ]; then
+    echo "a jobs.wal was written; the journal is pending files only"; exit 1
 fi
 
 echo "== recovered digests byte-identical to the reference server"
